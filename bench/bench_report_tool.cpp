@@ -221,14 +221,13 @@ int main(int argc, char** argv) {
       const std::size_t n = smoke ? scaled(2000) : scaled(20000);
       const linalg::SymCsrMatrix q = graph::build_laplacian(model::clique_expand(
           make_netlist(n), model::NetModel::kPartitioningSpecific));
-      const linalg::SolverOptions sopts;
       const std::uint64_t seed = 0x3E10ULL;
 
       multilevel::MultilevelStats stats;
       KernelResult r{"multilevel", "n=" + std::to_string(n) +
                                        " d=10 serial=flat parallel=vcycle"};
       attach_counters(r, multilevel::multilevel_solve_smallest(
-                             q, 10, seed, sopts, serial, nullptr, &stats));
+                             q, 10, seed, serial, nullptr, &stats));
       r.has_multilevel = true;
       r.levels = stats.levels;
       r.coarsening_ratio = stats.coarsening_ratio;
@@ -251,8 +250,7 @@ int main(int argc, char** argv) {
         std::vector<double> samples;
         for (int rep = 0; rep < 3; ++rep) {
           multilevel::MultilevelStats s;
-          multilevel::multilevel_solve_smallest(q, 10, seed, sopts, p,
-                                                nullptr, &s);
+          multilevel::multilevel_solve_smallest(q, 10, seed, p, nullptr, &s);
           samples.push_back(s.refine_seconds);
         }
         std::sort(samples.begin(), samples.end());
@@ -392,16 +390,16 @@ int main(int argc, char** argv) {
       // eigensolve it replaces. Like the "assembly" row this reuses the
       // two timing columns for an algorithmic comparison: serial_seconds
       // is one cold compute through a fresh EmbeddingCache with the tier
-      // configured (eigensolve + write-behind spill), parallel_seconds is
-      // the median disk-warm serve through a fresh cache over the same
-      // directory (rebuild-on-open scan + header validation + chunk reads
-      // + promotion), so `speedup` records the warm-vs-cold serving ratio
-      // the tier is accountable for. Bit-identity of the warm basis
+      // configured (clique assembly + eigensolve + write-behind spill),
+      // parallel_seconds is the median disk-warm serve through a fresh
+      // cache over the same directory (rebuild-on-open scan + header
+      // validation + chunk reads + promotion), so `speedup` records the
+      // warm-vs-cold serving ratio the tier is accountable for. Bit-identity of the warm basis
       // against the cold one and warm < cold are enforced inline — a
       // violation fails the whole run, smoke or full.
       const std::size_t n = smoke ? scaled(2000) : scaled(20000);
-      const graph::Graph g = model::clique_expand(
-          make_netlist(n), model::NetModel::kPartitioningSpecific);
+      const graph::Hypergraph h = make_netlist(n);
+      const model::CliqueModel cm(h, model::NetModel::kPartitioningSpecific);
       namespace fs = std::filesystem;
       const fs::path dir =
           fs::temp_directory_path() /
@@ -422,13 +420,13 @@ int main(int argc, char** argv) {
       {
         service::EmbeddingCache cache(copts);
         Timer t;
-        cold = cache.compute(g, eo, nullptr, nullptr);
+        cold = cache.compute(cm, eo, nullptr, nullptr);
         r.serial_seconds = t.seconds();
       }
       spectral::EigenBasis warm;
       r.parallel_seconds = time_median([&] {
         service::EmbeddingCache cache(copts);  // fresh tier 1, same tier 2
-        warm = cache.compute(g, eo, nullptr, nullptr);
+        warm = cache.compute(cm, eo, nullptr, nullptr);
       });
       fs::remove_all(dir, ec);
 

@@ -1,6 +1,6 @@
 // Microbenchmarks for the partitioning service layer (google-benchmark):
 // cold vs warm request execution (what the embedding cache buys), queue
-// round-trip throughput across worker counts, graph fingerprinting cost,
+// round-trip throughput across worker counts, netlist fingerprinting cost,
 // and wire-protocol serialization.
 #include <benchmark/benchmark.h>
 
@@ -87,19 +87,19 @@ BENCHMARK(BM_QueueThroughput)
     ->Args({300, 4})
     ->Unit(benchmark::kMillisecond);
 
-void BM_EigenKeyFingerprint(benchmark::State& state) {
+void BM_NetlistKeyFingerprint(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const graph::Graph g = model::clique_expand(
-      make_netlist(n), model::NetModel::kPartitioningSpecific);
+  const graph::Hypergraph h = make_netlist(n);
   const spectral::EmbeddingOptions eopts;
   for (auto _ : state)
-    benchmark::DoNotOptimize(service::EmbeddingCache::eigen_key(g, eopts, 16));
+    benchmark::DoNotOptimize(service::EmbeddingCache::netlist_key(
+        h, model::NetModel::kPartitioningSpecific, 0, eopts, 16));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(g.edges().size()));
-  state.SetLabel("n=" + std::to_string(n) + " edges=" +
-                 std::to_string(g.edges().size()));
+                          static_cast<std::int64_t>(h.num_pins()));
+  state.SetLabel("n=" + std::to_string(n) + " pins=" +
+                 std::to_string(h.num_pins()));
 }
-BENCHMARK(BM_EigenKeyFingerprint)->Arg(1000)->Arg(5000)->Unit(
+BENCHMARK(BM_NetlistKeyFingerprint)->Arg(1000)->Arg(5000)->Unit(
     benchmark::kMicrosecond);
 
 void BM_WireRoundTrip(benchmark::State& state) {

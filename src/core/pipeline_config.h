@@ -64,9 +64,8 @@ struct PipelineConfig {
   /// Diversified orderings: run r uses the (r+1)-th longest vector as the
   /// seed vertex; the best split across runs wins.
   std::size_t num_starts = 1;
-  /// Eigensolve configuration: backend (scalar | block), tolerance, dense
-  /// threshold / fallback limit, iteration caps. The former top-level
-  /// dense_threshold / dense_fallback_limit knobs live inside.
+  /// Eigensolve configuration: backend (scalar | block), strategy
+  /// (flat | multilevel), dense threshold / fallback limit.
   SolverOptions solver;
   /// Which symmetric operator the spectral pipeline optimizes
   /// (linalg/objective.h): the paper's unnormalized min-cut Laplacian

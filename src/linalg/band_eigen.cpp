@@ -165,7 +165,6 @@ BandEigenPairs band_eigen_largest(const BandMatrix& a, std::size_t count) {
       anorm = std::max(anorm, std::abs(a.at(i, 0)) + radius[i]);
     }
   }
-  const double span = std::max(ghi - glo, 1e-30);
   const double bis_tol = std::max(1e-14 * std::max(anorm, 1.0), 1e-300);
 
   Vec work_l, work_d;

@@ -1,59 +1,32 @@
 #include "linalg/eigensolver.h"
 
+#include "linalg/block_lanczos.h"
+
 namespace specpart::linalg {
 
-namespace {
-
-// The scalar backend maps SolverOptions onto LanczosOptions field-for-field
-// so its numerics are byte-identical to the pre-interface direct calls.
-class ScalarSolver final : public EigenSolver {
- public:
-  std::string_view name() const override { return "scalar"; }
-
-  LanczosResult solve_smallest(const SymCsrMatrix& a, std::size_t want,
-                               std::uint64_t seed, const SolverOptions& opts,
-                               const ParallelConfig& parallel,
-                               ComputeBudget* budget) const override {
-    LanczosOptions lopts;
-    lopts.num_eigenpairs = want;
-    lopts.max_iterations = opts.max_iterations;
-    lopts.tolerance = opts.tolerance;
-    lopts.seed = seed;
-    lopts.reorthogonalization = opts.reorthogonalization;
-    lopts.budget = budget;
-    lopts.parallel = parallel;
-    return lanczos_smallest(a, lopts);
-  }
-};
-
-class BlockSolver final : public EigenSolver {
- public:
-  std::string_view name() const override { return "block"; }
-
-  LanczosResult solve_smallest(const SymCsrMatrix& a, std::size_t want,
-                               std::uint64_t seed, const SolverOptions& opts,
-                               const ParallelConfig& parallel,
-                               ComputeBudget* budget) const override {
+LanczosResult solve_smallest(const SymCsrMatrix& a, SolverBackend backend,
+                             std::size_t want, std::uint64_t seed,
+                             std::size_t max_iterations,
+                             const ParallelConfig& parallel,
+                             ComputeBudget* budget) {
+  if (backend == SolverBackend::kBlock) {
     BlockLanczosOptions bopts;
     bopts.num_eigenpairs = want;
-    bopts.block_size = opts.block_size;
-    bopts.max_iterations = opts.max_iterations;
-    bopts.tolerance = opts.tolerance;
+    bopts.max_iterations = max_iterations;
+    bopts.tolerance = kSolverTolerance;
     bopts.seed = seed;
     bopts.budget = budget;
     bopts.parallel = parallel;
     return block_lanczos_smallest(a, bopts);
   }
-};
-
-}  // namespace
-
-const EigenSolver& eigen_solver(SolverBackend backend) {
-  static const ScalarSolver scalar;
-  static const BlockSolver block;
-  return backend == SolverBackend::kBlock
-             ? static_cast<const EigenSolver&>(block)
-             : static_cast<const EigenSolver&>(scalar);
+  LanczosOptions lopts;
+  lopts.num_eigenpairs = want;
+  lopts.max_iterations = max_iterations;
+  lopts.tolerance = kSolverTolerance;
+  lopts.seed = seed;
+  lopts.budget = budget;
+  lopts.parallel = parallel;
+  return lanczos_smallest(a, lopts);
 }
 
 }  // namespace specpart::linalg

@@ -1,17 +1,17 @@
-// Unified eigensolver backend API.
+// Eigensolver backend selection: the solve configuration callers set and
+// the one dispatch that runs the selected backend.
 //
-// The embedding stage historically talked to lanczos_smallest directly and
-// every caller re-plumbed its own LanczosOptions / EmbeddingOptions knobs.
-// This header collapses that into one seam: SolverOptions is the single
-// solver-configuration struct (owned by core::PipelineConfig and threaded
-// through MeloOptions, the service and the tools), and EigenSolver is the
-// stable interface behind which the scalar Lanczos chain and the block
-// Lanczos driver are interchangeable.
+// SolverOptions is the single solver-configuration struct (owned by
+// core::PipelineConfig and threaded through MeloOptions, the service and
+// the tools). It holds only what callers set: the wire and the CLIs pick
+// backend and strategy, tests move the dense thresholds to reach the
+// Krylov and truncation paths on small inputs. Everything else is a named
+// constant here or in multilevel/vcycle.h.
 //
 // Backend contract:
-//  * kScalar — the existing single-vector Lanczos chain (lanczos.h). Given
-//    the same inputs it is byte-identical to the pre-interface code path;
-//    this is the default and the compatibility anchor for cached bases and
+//  * kScalar — the single-vector Lanczos chain (lanczos.h). Given the same
+//    inputs it is byte-identical to a direct lanczos_smallest call; this is
+//    the default and the compatibility anchor for cached bases and
 //    recorded wire traffic.
 //  * kBlock — block Lanczos (block_lanczos.h): all wanted directions
 //    advance through one sparse x panel product per step, moving ~b x fewer
@@ -22,9 +22,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
-#include "linalg/block_lanczos.h"
 #include "linalg/lanczos.h"
 #include "linalg/sparse.h"
 #include "util/budget.h"
@@ -46,76 +44,35 @@ enum class SolverBackend { kScalar, kBlock };
 /// the strategy is an accelerator, never a correctness risk.
 enum class SolverStrategy { kFlat, kMultilevel };
 
-/// The one solver-configuration struct. Replaces the ad-hoc spread of
-/// LanczosOptions / EmbeddingOptions fields; PipelineConfig owns an
-/// instance (aliased as core::SolverOptions) and every layer passes it
-/// through unchanged. Fields that only one backend consumes are documented
-/// as such and ignored by the other.
+/// Relative residual tolerance of every iterative solve, and the
+/// convergence contract recorded in EigenBasis.
+inline constexpr double kSolverTolerance = 1e-8;
+
+/// The one solver-configuration struct. PipelineConfig owns an instance
+/// (aliased as core::SolverOptions) and every layer passes it through
+/// unchanged.
 struct SolverOptions {
   SolverBackend backend = SolverBackend::kScalar;
-  /// Relative residual tolerance for the iterative solvers, and the
-  /// convergence contract recorded in EigenBasis.
-  double tolerance = 1e-8;
+  /// Orchestration strategy: flat backend solve (default) or the
+  /// multilevel V-cycle.
+  SolverStrategy strategy = SolverStrategy::kFlat;
   /// Problems with n <= dense_threshold skip Krylov entirely and use the
   /// exact dense decomposition (cheaper and unconditionally robust).
   std::size_t dense_threshold = 320;
   /// Largest n for which the embedding fallback chain may escalate a
   /// non-converged iterative solve to the dense solver (0 disables).
   std::size_t dense_fallback_limit = 2048;
-  /// Krylov-column cap; 0 = the solvers' automatic formula. The embedding
-  /// fallback chain enlarges this per attempt, so it is per-call state as
-  /// much as configuration.
-  std::size_t max_iterations = 0;
-  /// kBlock only: panel width b (0 = automatic).
-  std::size_t block_size = 0;
-  /// kScalar only: reorthogonalization policy.
-  Reorthogonalization reorthogonalization = Reorthogonalization::kFull;
-  /// Orchestration strategy: flat backend solve (default) or the
-  /// multilevel V-cycle. The ml_* knobs below configure the latter and are
-  /// ignored under kFlat.
-  SolverStrategy strategy = SolverStrategy::kFlat;
-  /// kMultilevel: stop coarsening once this few vertices remain (the
-  /// coarsest level is then solved exactly).
-  std::size_t ml_coarsest_size = 400;
-  /// kMultilevel: Chebyshev filter degree applied between Rayleigh-Ritz
-  /// refinement sweeps.
-  std::size_t ml_refine_degree = 50;
-  /// kMultilevel: refinement sweep cap per level (0 = automatic: 20 on the
-  /// finest level, 10 on intermediate levels).
-  std::size_t ml_refine_sweeps = 0;
-  /// kMultilevel: relative Ritz-residual acceptance threshold (times the
-  /// Gershgorin scale) that governs the result's `converged` flag. The
-  /// sweeps aspire to `tolerance` but a clustered quasi-continuum spectrum
-  /// bounds what polynomial filtering can certify; pairs within this
-  /// looser bound are accepted, anything worse triggers the embedding
-  /// layer's flat-solve fallback.
-  double ml_refine_tolerance = 1e-4;
 };
 
-/// Stateless eigensolve backend: computes the `want` smallest eigenpairs of
-/// a symmetric sparse matrix. Implementations are singletons returned by
-/// eigen_solver(); they hold no per-call state, so one instance serves
-/// concurrent pipelines.
-class EigenSolver {
- public:
-  virtual ~EigenSolver() = default;
-
-  /// Stable backend token ("scalar" | "block"); used in cache keys, wire
-  /// fields, diagnostics and bench rows.
-  virtual std::string_view name() const = 0;
-
-  /// Runs the backend. `seed` is per-call (the embedding fallback chain
-  /// reseeds between attempts); `opts` supplies tolerance / iteration caps;
-  /// threading and budget ride alongside because they are pipeline state,
-  /// not solver configuration.
-  virtual LanczosResult solve_smallest(const SymCsrMatrix& a,
-                                       std::size_t want, std::uint64_t seed,
-                                       const SolverOptions& opts,
-                                       const ParallelConfig& parallel,
-                                       ComputeBudget* budget) const = 0;
-};
-
-/// The process-wide backend instance for `backend`.
-const EigenSolver& eigen_solver(SolverBackend backend);
+/// Computes the `want` smallest eigenpairs of the symmetric sparse matrix
+/// `a` with `backend` at kSolverTolerance. `max_iterations` caps the Krylov
+/// columns (0 = the solver's automatic formula); the embedding fallback
+/// chain reseeds and enlarges it per attempt. Threading and budget ride
+/// alongside because they are pipeline state, not solver configuration.
+LanczosResult solve_smallest(const SymCsrMatrix& a, SolverBackend backend,
+                             std::size_t want, std::uint64_t seed,
+                             std::size_t max_iterations,
+                             const ParallelConfig& parallel,
+                             ComputeBudget* budget);
 
 }  // namespace specpart::linalg

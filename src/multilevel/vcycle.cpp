@@ -5,10 +5,12 @@
 #include <limits>
 
 #include "linalg/dense.h"
+#include "linalg/eigensolver.h"
 #include "linalg/lanczos.h"
 #include "linalg/panel_ops.h"
 #include "linalg/symmetric_eigen.h"
 #include "multilevel/coarsen.h"
+#include "util/fault.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -143,8 +145,8 @@ void chebyshev_filter(const SymCsrMatrix& l, Panel& x, double lo, double hi,
 
 linalg::LanczosResult multilevel_solve_smallest(
     const SymCsrMatrix& a, std::size_t want, std::uint64_t seed,
-    const linalg::SolverOptions& opts, const ParallelConfig& parallel,
-    ComputeBudget* budget, MultilevelStats* stats, bool galerkin_general) {
+    const ParallelConfig& parallel, ComputeBudget* budget,
+    MultilevelStats* stats, bool galerkin_general) {
   linalg::LanczosResult result;
   const std::size_t n = a.size();
   want = std::min(want, n);
@@ -171,8 +173,7 @@ linalg::LanczosResult multilevel_solve_smallest(
   // overshoot a level below the floor by at most a factor of two).
   Timer t_coarsen;
   CoarsenOptions copts;
-  copts.coarsest_size =
-      std::max<std::size_t>(opts.ml_coarsest_size, 2 * width);
+  copts.coarsest_size = std::max<std::size_t>(kCoarsestSize, 2 * width);
   copts.parallel = par;
   copts.galerkin_general = galerkin_general;
   const std::vector<CoarseLevel> levels = build_hierarchy(a, copts);
@@ -232,13 +233,9 @@ linalg::LanczosResult multilevel_solve_smallest(
     const double hi = m.gershgorin_upper();
     const double scale = std::max(hi, 1e-30);
     const double aspiration =
-        (finest ? opts.tolerance : std::max(opts.tolerance, 1e-6)) * scale;
+        (finest ? linalg::kSolverTolerance : 1e-6) * scale;
     const std::size_t max_sweeps =
-        opts.ml_refine_sweeps != 0 ? opts.ml_refine_sweeps
-                                   : (finest ? std::size_t{20}
-                                             : std::size_t{10});
-    const std::size_t degree =
-        std::max<std::size_t>(2, opts.ml_refine_degree);
+        finest ? kFinestRefineSweeps : kRefineSweeps;
 
     double res = rayleigh_ritz(m, xl, want, par, theta, residuals, c);
     std::size_t sweeps = 1;
@@ -260,7 +257,7 @@ linalg::LanczosResult multilevel_solve_smallest(
       }
       double lo = theta[xl.cols() - 1];
       lo = std::min(std::max(lo * 1.05, 1e-8 * hi), 0.5 * hi);
-      chebyshev_filter(m, xl, lo, hi, degree, par, c);
+      chebyshev_filter(m, xl, lo, hi, kRefineDegree, par, c);
       panel_qr_cgs2(xl, 1e-13, par, rng, c.flops);
       res = rayleigh_ritz(m, xl, want, par, theta, residuals, c);
       ++sweeps;
@@ -302,8 +299,7 @@ linalg::LanczosResult multilevel_solve_smallest(
   // Extraction. theta / residuals reflect the last (finest) Rayleigh-Ritz
   // rotation, so the columns of x already are the unit Ritz vectors.
   const double fin_scale = std::max(a.gershgorin_upper(), 1e-30);
-  const double accept =
-      std::max(opts.ml_refine_tolerance, opts.tolerance) * fin_scale;
+  const double accept = kRefineTolerance * fin_scale;
   const std::size_t take = std::min(want, x.cols());
   result.values.assign(theta.begin(),
                        theta.begin() + static_cast<std::ptrdiff_t>(take));
@@ -316,6 +312,11 @@ linalg::LanczosResult multilevel_solve_smallest(
     if (residuals[j] > accept) break;
     ++result.num_converged;
   }
+  // Test hook: an armed "multilevel.force_nonconverge" fault fails this
+  // V-cycle (as an uncertifiable spectrum would), driving the embedding
+  // layer into its flat fallback. One armed count = one failed V-cycle.
+  if (SP_FAULT("multilevel.force_nonconverge"))
+    result.num_converged = std::min(result.num_converged, want - 1);
   result.converged =
       !exhausted && take == want && result.num_converged == want;
   result.budget_exhausted = exhausted;

@@ -18,24 +18,38 @@
 // primitives of util/parallel.h (panel_ops, spmm), so the result is
 // bit-identical across 1, 2 and 8 threads.
 //
-// Convergence contract: the sweeps aspire to SolverOptions::tolerance, but
+// Convergence contract: the sweeps aspire to linalg::kSolverTolerance, but
 // on instances whose low spectrum is a clustered quasi-continuum the
 // filter's separation power caps the certifiable residual well above it.
-// SolverOptions::ml_refine_tolerance (relative, ~1e-4) is the documented
-// acceptance bound governing the returned `converged` flag; callers that
-// need the tight tolerance fall back to a flat solve when it is unmet
+// kRefineTolerance (relative, 1e-4) is the documented acceptance bound
+// governing the returned `converged` flag; callers that need the tight
+// tolerance fall back to a flat solve when it is unmet
 // (spectral/embedding.cpp does exactly that).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "linalg/eigensolver.h"
+#include "linalg/lanczos.h"
 #include "linalg/sparse.h"
 #include "util/budget.h"
 #include "util/parallel.h"
 
 namespace specpart::multilevel {
+
+/// Stop coarsening once this few vertices remain (the coarsest level is
+/// then solved exactly; the floor is raised to twice the panel width).
+inline constexpr std::size_t kCoarsestSize = 400;
+/// Chebyshev filter degree applied between Rayleigh-Ritz refinement sweeps.
+inline constexpr std::size_t kRefineDegree = 50;
+/// Refinement sweep cap on the finest level and on intermediate levels.
+inline constexpr std::size_t kFinestRefineSweeps = 20;
+inline constexpr std::size_t kRefineSweeps = 10;
+/// Relative Ritz-residual acceptance threshold (times the Gershgorin
+/// scale) that governs the result's `converged` flag. Pairs within this
+/// bound are accepted; anything worse triggers the embedding layer's
+/// flat-solve fallback.
+inline constexpr double kRefineTolerance = 1e-4;
 
 /// Per-level refinement record, finest level last.
 struct LevelStats {
@@ -68,19 +82,18 @@ struct MultilevelStats {
 };
 
 /// Computes the `want` smallest eigenpairs of the symmetric sparse matrix
-/// `a` through the V-cycle. Consumes the ml_* knobs plus `tolerance` of
-/// `opts`; `converged` in the result reflects ml_refine_tolerance (see the
-/// file comment). The FLOP / bytes-moved counters accumulate across every
-/// level, comparable with the flat solvers'. One refinement sweep charges
-/// one budget unit; on exhaustion the best basis so far is returned with
-/// budget_exhausted set. `galerkin_general` selects the exact P^T M P
-/// contraction for non-Laplacian symmetric operators (the normalized
-/// objective); the default keeps the contracted-graph path byte-identical
-/// for plain Laplacians (see CoarsenOptions::galerkin_general).
+/// `a` through the V-cycle; `converged` in the result reflects
+/// kRefineTolerance (see the file comment). The FLOP / bytes-moved
+/// counters accumulate across every level, comparable with the flat
+/// solvers'. One refinement sweep charges one budget unit; on exhaustion
+/// the best basis so far is returned with budget_exhausted set.
+/// `galerkin_general` selects the exact P^T M P contraction for
+/// non-Laplacian symmetric operators (the normalized objective); the
+/// default keeps the contracted-graph path byte-identical for plain
+/// Laplacians (see CoarsenOptions::galerkin_general).
 linalg::LanczosResult multilevel_solve_smallest(
     const linalg::SymCsrMatrix& a, std::size_t want, std::uint64_t seed,
-    const linalg::SolverOptions& opts, const ParallelConfig& parallel,
-    ComputeBudget* budget = nullptr, MultilevelStats* stats = nullptr,
-    bool galerkin_general = false);
+    const ParallelConfig& parallel, ComputeBudget* budget = nullptr,
+    MultilevelStats* stats = nullptr, bool galerkin_general = false);
 
 }  // namespace specpart::multilevel

@@ -3,6 +3,7 @@
 #include <mutex>
 #include <utility>
 
+#include "multilevel/vcycle.h"
 #include "util/stringutil.h"
 #include "util/timer.h"
 
@@ -75,49 +76,6 @@ std::size_t EmbeddingCache::basis_bytes(const spectral::EigenBasis& basis) {
          sizeof(double) * basis.vectors.rows() * basis.vectors.cols();
 }
 
-Fingerprint EmbeddingCache::eigen_key(const graph::Graph& g,
-                                      const spectral::EmbeddingOptions& opts,
-                                      std::size_t solve_count) {
-  Hasher h;
-  h.mix_string("specpart.eigenbasis.v1");
-  // Graph content: the CSR arrays fully determine the Laplacian. The
-  // canonical unique edge list (u < v, ascending) plus the vertex count is
-  // that content without the redundant adjacency mirror.
-  h.mix_size(g.num_nodes());
-  h.mix_size(g.num_edges());
-  for (const graph::Edge& e : g.edges()) {
-    h.mix_u64(static_cast<std::uint64_t>(e.u) |
-              (static_cast<std::uint64_t>(e.v) << 32));
-    h.mix_double(e.weight);
-  }
-  // Solver options: anything that can change the returned bits. The
-  // backend token keeps scalar- and block-solved bases in disjoint cache
-  // domains — their eigenvectors agree only to tolerance, not bitwise.
-  h.mix_bool(opts.skip_trivial);
-  h.mix_string(core::solver_backend_token(opts.solver.backend));
-  h.mix_size(opts.solver.dense_threshold);
-  h.mix_size(opts.solver.dense_fallback_limit);
-  h.mix_double(opts.solver.tolerance);
-  h.mix_size(opts.solver.max_iterations);
-  h.mix_size(opts.solver.block_size);
-  // Strategy + V-cycle knobs: a flat-solved and a multilevel-solved basis
-  // agree only to the refine tolerance, never bitwise, so they live in
-  // disjoint key domains exactly like the backends above.
-  h.mix_string(core::solver_strategy_token(opts.solver.strategy));
-  h.mix_size(opts.solver.ml_coarsest_size);
-  h.mix_size(opts.solver.ml_refine_degree);
-  h.mix_size(opts.solver.ml_refine_sweeps);
-  h.mix_double(opts.solver.ml_refine_tolerance);
-  // Objective model: normalized and unnormalized bases are spectra of
-  // different operators, so they must live in disjoint key domains. Mixed
-  // only when non-default so every pre-objective key is bit-preserved.
-  if (opts.objective != linalg::ObjectiveModel::kUnnormalized)
-    h.mix_string(core::objective_model_token(opts.objective));
-  h.mix_u64(opts.seed);
-  h.mix_size(solve_count);
-  return h.digest();
-}
-
 Fingerprint EmbeddingCache::netlist_key(const graph::Hypergraph& h,
                                         model::NetModel net_model,
                                         std::size_t max_net_size,
@@ -138,26 +96,28 @@ Fingerprint EmbeddingCache::netlist_key(const graph::Hypergraph& h,
     hs.mix_span(pins);
     hs.mix_double(h.net_weight(e));
   }
-  // Solver options: anything that can change the returned bits. The
+  // Solver configuration: anything that can change the returned bits. The
   // backend token keeps scalar- and block-solved bases in disjoint cache
-  // domains — a scalar-warmed cache must miss under solver=block.
+  // domains — a scalar-warmed cache must miss under solver=block. Each 0
+  // stands for a solver's automatic choice and keeps its slot, so existing
+  // keys, and the tier-2 files stored under them, stay valid.
   hs.mix_bool(opts.skip_trivial);
   hs.mix_string(core::solver_backend_token(opts.solver.backend));
   hs.mix_size(opts.solver.dense_threshold);
   hs.mix_size(opts.solver.dense_fallback_limit);
-  hs.mix_double(opts.solver.tolerance);
-  hs.mix_size(opts.solver.max_iterations);
-  hs.mix_size(opts.solver.block_size);
-  // Strategy + V-cycle knobs, mirroring eigen_key: a flat-warmed cache
-  // must miss under strategy=multilevel and vice versa.
+  hs.mix_double(linalg::kSolverTolerance);
+  hs.mix_size(0);  // Krylov cap
+  hs.mix_size(0);  // block width
+  // Strategy + V-cycle constants: a flat-warmed cache must miss under
+  // strategy=multilevel and vice versa.
   hs.mix_string(core::solver_strategy_token(opts.solver.strategy));
-  hs.mix_size(opts.solver.ml_coarsest_size);
-  hs.mix_size(opts.solver.ml_refine_degree);
-  hs.mix_size(opts.solver.ml_refine_sweeps);
-  hs.mix_double(opts.solver.ml_refine_tolerance);
-  // Objective model, mirroring eigen_key: an unnormalized-warmed cache
-  // must miss under objective=normalized. Gated so default keys are
-  // bit-identical to the pre-objective domain.
+  hs.mix_size(multilevel::kCoarsestSize);
+  hs.mix_size(multilevel::kRefineDegree);
+  hs.mix_size(0);  // refinement sweep cap
+  hs.mix_double(multilevel::kRefineTolerance);
+  // Objective model: an unnormalized-warmed cache must miss under
+  // objective=normalized. Gated so default keys are bit-identical to the
+  // pre-objective domain.
   if (opts.objective != linalg::ObjectiveModel::kUnnormalized)
     hs.mix_string(core::objective_model_token(opts.objective));
   hs.mix_u64(opts.seed);
@@ -181,33 +141,13 @@ spectral::EigenBasis EmbeddingCache::compute(
   if (spectral::EigenBasis hit; disk_lookup(key, opts.count, opts, diag, hit))
     return hit;  // still never expanded: tier 2 is keyed the same way
 
-  spectral::EmbeddingOptions solve_opts = opts;
-  solve_opts.count = solve_count;
-  spectral::EigenBasis full = spectral::compute_eigenbasis(
-      cm.operator_matrix(opts.objective, diag), solve_opts, diag, budget);
-  return insert(key, std::move(full), opts.count, opts, diag);
-}
-
-spectral::EigenBasis EmbeddingCache::compute(
-    const graph::Graph& g, const spectral::EmbeddingOptions& opts,
-    Diagnostics* diag, ComputeBudget* budget) {
-  if (opts_.max_bytes == 0)  // caching disabled: raw pipeline behavior
-    return spectral::compute_eigenbasis(g, opts, diag, budget);
-
-  const std::size_t solve_count = quantized_count(opts.count);
-  const Fingerprint key = eigen_key(g, opts, solve_count);
-  if (spectral::EigenBasis hit; lookup(key, opts.count, diag, hit))
-    return hit;
-  if (spectral::EigenBasis hit; disk_lookup(key, opts.count, opts, diag, hit))
-    return hit;
-
   // Miss: solve at the quantized dimension outside the lock (concurrent
   // misses on the same key both solve; the solver is deterministic, so
   // whichever insertion lands is bit-identical to the other).
   spectral::EmbeddingOptions solve_opts = opts;
   solve_opts.count = solve_count;
-  spectral::EigenBasis full =
-      spectral::compute_eigenbasis(g, solve_opts, diag, budget);
+  spectral::EigenBasis full = spectral::compute_eigenbasis(
+      cm.operator_matrix(opts.objective, diag), solve_opts, diag, budget);
   return insert(key, std::move(full), opts.count, opts, diag);
 }
 

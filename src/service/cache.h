@@ -5,7 +5,7 @@
 // are a property of the (graph, net model) pair alone — every split
 // method, every weighting scheme, every k consumes the same basis. The
 // cache therefore keys on a fingerprint of exactly what the eigensolve
-// depends on — the clique-model graph's CSR arrays, the trivial-pair
+// depends on — the netlist's pin lists and net model, the trivial-pair
 // accounting, the solver seed/tolerance/thresholds — and deliberately NOT
 // on the request's weighting scheme, split method or k.
 //
@@ -112,14 +112,6 @@ class EmbeddingCache {
                                const spectral::EmbeddingOptions& opts,
                                Diagnostics* diag, ComputeBudget* budget);
 
-  /// Graph-keyed variant (the pre-fused-data-plane entry point, keyed on
-  /// the expanded clique graph's edge list). Kept for callers that hold a
-  /// plain Graph; uses a distinct key domain ("…v1") from the hypergraph
-  /// keys ("…v2"), so the two never collide.
-  spectral::EigenBasis compute(const graph::Graph& g,
-                               const spectral::EmbeddingOptions& opts,
-                               Diagnostics* diag, ComputeBudget* budget);
-
   /// Binds this cache as a pipeline embedding provider. The cache must
   /// outlive every pipeline run using the provider.
   core::EmbeddingProvider provider();
@@ -138,22 +130,14 @@ class EmbeddingCache {
 
   const EmbeddingCacheOptions& options() const { return opts_; }
 
-  /// Content key of one eigensolve: fingerprint of the graph CSR arrays
-  /// (edge endpoints + weights + vertex count), the trivial-pair
-  /// accounting, seed, tolerance, thresholds, and the quantized solve
-  /// dimension. Exposed for tests.
-  static Fingerprint eigen_key(const graph::Graph& g,
-                               const spectral::EmbeddingOptions& opts,
-                               std::size_t solve_count);
-
-  /// Hypergraph-content key: fingerprint of the pin lists + net weights +
-  /// net-model token + max_net_size, plus the same solver options as
-  /// eigen_key. Computable without expanding the model — the point of the
-  /// fused data plane: a hit never pays for clique expansion. Two requests
-  /// get the same key iff eigen_key over their expanded graphs would agree
-  /// (up to hypergraphs that differ only in <2-pin nets, which expand
-  /// identically but key differently — a spurious miss, never a false
-  /// hit). Exposed for tests.
+  /// Content key of one eigensolve: fingerprint of the pin lists + net
+  /// weights + net-model token + max_net_size, the trivial-pair
+  /// accounting, the solve configuration (backend, strategy, thresholds,
+  /// tolerances, objective), the seed and the quantized solve dimension.
+  /// Computable without expanding the model — a hit never pays for clique
+  /// expansion. Hypergraphs that differ only in <2-pin nets expand
+  /// identically but key differently: a spurious miss, never a false hit.
+  /// Exposed for tests.
   static Fingerprint netlist_key(const graph::Hypergraph& h,
                                  model::NetModel net_model,
                                  std::size_t max_net_size,

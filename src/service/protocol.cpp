@@ -51,6 +51,18 @@ bool parse_bool_field(const std::string& value, const std::string& key) {
               "'");
 }
 
+/// Parses an enum-token field with `parse` (one of the core::parse_*
+/// functions). An unknown token is a structured bad_request error,
+/// whatever the field.
+template <typename Parse>
+auto parse_enum_field(Parse parse, const std::string& value) {
+  try {
+    return parse(value);
+  } catch (const Error& e) {
+    throw Error(std::string("bad_request: ") + e.what());
+  }
+}
+
 void expect_end_line(std::istream& in, std::string_view frame) {
   std::string line;
   while (std::getline(in, line)) {
@@ -143,9 +155,9 @@ PartitionRequest parse_request(const std::string& header_line,
     } else if (key == "trivial") {
       p.include_trivial = parse_bool_field(value, key);
     } else if (key == "scaling") {
-      p.scaling = core::parse_coord_scaling(value);
+      p.scaling = parse_enum_field(core::parse_coord_scaling, value);
     } else if (key == "selection") {
-      p.selection = core::parse_selection_rule(value);
+      p.selection = parse_enum_field(core::parse_selection_rule, value);
     } else if (key == "readjust") {
       p.readjust_h = parse_bool_field(value, key);
     } else if (key == "h") {
@@ -157,35 +169,20 @@ PartitionRequest parse_request(const std::string& header_line,
     } else if (key == "lazy_rerank") {
       p.lazy_rerank_interval = parse_size(value, "lazy_rerank");
     } else if (key == "net_model") {
-      p.net_model = core::parse_net_model(value);
+      p.net_model = parse_enum_field(core::parse_net_model, value);
     } else if (key == "starts") {
       p.num_starts = parse_size(value, "starts");
     } else if (key == "seed") {
       p.seed = static_cast<std::uint64_t>(parse_size(value, "seed"));
     } else if (key == "solver") {
-      // Absent field = scalar (backward compatible); an unknown token is a
-      // structured bad_request error, not a protocol-level crash.
-      try {
-        p.solver.backend = core::parse_solver_backend(value);
-      } catch (const Error& e) {
-        throw Error(std::string("bad_request: ") + e.what());
-      }
+      // solver=, strategy= and objective= may be absent (scalar, flat,
+      // unnormalized), so traffic recorded before they existed still parses.
+      p.solver.backend = parse_enum_field(core::parse_solver_backend, value);
     } else if (key == "strategy") {
-      // Absent field = flat (backward compatible); same structured
-      // bad_request contract as the solver field.
-      try {
-        p.solver.strategy = core::parse_solver_strategy(value);
-      } catch (const Error& e) {
-        throw Error(std::string("bad_request: ") + e.what());
-      }
+      p.solver.strategy =
+          parse_enum_field(core::parse_solver_strategy, value);
     } else if (key == "objective") {
-      // Absent field = unnormalized (backward compatible); same structured
-      // bad_request contract as the solver and strategy fields.
-      try {
-        p.objective = core::parse_objective_model(value);
-      } catch (const Error& e) {
-        throw Error(std::string("bad_request: ") + e.what());
-      }
+      p.objective = parse_enum_field(core::parse_objective_model, value);
     } else if (key == "graph_lines") {
       graph_lines = parse_size(value, "graph_lines");
       have_graph_lines = true;

@@ -21,13 +21,13 @@ void note_fallback(Diagnostics* diag, const std::string& message) {
 
 /// Runs one backend attempt and records its internal recoveries.
 linalg::LanczosResult run_attempt(const linalg::SymCsrMatrix& q,
-                                  const linalg::EigenSolver& solver,
+                                  const EmbeddingOptions& opts,
                                   std::size_t want, std::uint64_t seed,
-                                  const linalg::SolverOptions& sopts,
-                                  const ParallelConfig& parallel,
+                                  std::size_t max_iterations,
                                   ComputeBudget* budget, Diagnostics* diag) {
   linalg::LanczosResult result =
-      solver.solve_smallest(q, want, seed, sopts, parallel, budget);
+      linalg::solve_smallest(q, opts.solver.backend, want, seed,
+                             max_iterations, opts.parallel, budget);
   if (result.breakdown_restarts > 0)
     note_fallback(diag,
                   strprintf("Lanczos breakdown: %zu invariant-subspace "
@@ -63,16 +63,14 @@ EigenBasis eigenbasis_of_laplacian(const linalg::SymCsrMatrix& q,
     converged = true;
     num_converged = values.size();
   } else {
-    const linalg::EigenSolver& solver =
-        linalg::eigen_solver(opts.solver.backend);
-    linalg::SolverOptions sopts = opts.solver;
     std::uint64_t seed = opts.seed;
+    std::size_t max_iterations = 0;  // the solvers' automatic Krylov cap
 
     linalg::LanczosResult result;
     bool have_result = false;
-    if (sopts.strategy == linalg::SolverStrategy::kMultilevel) {
+    if (opts.solver.strategy == linalg::SolverStrategy::kMultilevel) {
       // The V-cycle replaces the first flat attempt. Its converged flag is
-      // governed by ml_refine_tolerance (a quasi-continuum spectrum caps
+      // governed by kRefineTolerance (a quasi-continuum spectrum caps
       // what Chebyshev filtering can certify); when it is unmet the flat
       // chain below runs from scratch — the strategy is an accelerator,
       // never a correctness risk.
@@ -80,8 +78,7 @@ EigenBasis eigenbasis_of_laplacian(const linalg::SymCsrMatrix& q,
       const bool galerkin_general =
           opts.objective != linalg::ObjectiveModel::kUnnormalized;
       result = multilevel::multilevel_solve_smallest(
-          q, want, seed, sopts, opts.parallel, budget, &mstats,
-          galerkin_general);
+          q, want, seed, opts.parallel, budget, &mstats, galerkin_general);
       basis.solve_flops += result.flops;
       basis.solve_bytes_moved += result.matrix_bytes_moved;
       if (diag != nullptr) {
@@ -98,8 +95,7 @@ EigenBasis eigenbasis_of_laplacian(const linalg::SymCsrMatrix& q,
                                 result.num_converged, want));
     }
     if (!have_result) {
-      result = run_attempt(q, solver, want, seed, sopts, opts.parallel,
-                           budget, diag);
+      result = run_attempt(q, opts, want, seed, max_iterations, budget, diag);
       basis.solve_flops += result.flops;
       basis.solve_bytes_moved += result.matrix_bytes_moved;
     }
@@ -107,7 +103,7 @@ EigenBasis eigenbasis_of_laplacian(const linalg::SymCsrMatrix& q,
     // Hardened fallback chain for clustered / pathological spectra. Each
     // escalation is recorded; an exhausted budget short-circuits to the
     // best-so-far basis.
-    enum class Step { kReseed, kEnlarge, kFullReorth, kDense, kTruncate };
+    enum class Step { kReseed, kEnlarge, kDense, kTruncate };
     Step step = Step::kReseed;
     bool dense_solved = false;
     while (!result.converged && !result.budget_exhausted &&
@@ -115,39 +111,28 @@ EigenBasis eigenbasis_of_laplacian(const linalg::SymCsrMatrix& q,
       if (step == Step::kReseed) {
         note_fallback(diag, "eigensolver did not converge; reseeded restart");
         seed = seed * 0x9E3779B97F4A7C15ULL + 1;
-        result = run_attempt(q, solver, want, seed, sopts, opts.parallel,
-                             budget, diag);
+        result = run_attempt(q, opts, want, seed, max_iterations, budget,
+                             diag);
         basis.solve_flops += result.flops;
         basis.solve_bytes_moved += result.matrix_bytes_moved;
         step = Step::kEnlarge;
       } else if (step == Step::kEnlarge) {
-        sopts.max_iterations =
+        max_iterations =
             std::min(n, std::max<std::size_t>(result.iterations * 2, 160));
         note_fallback(diag, strprintf("enlarged Krylov space to %zu",
-                                      sopts.max_iterations));
-        result = run_attempt(q, solver, want, seed, sopts, opts.parallel,
-                             budget, diag);
+                                      max_iterations));
+        result = run_attempt(q, opts, want, seed, max_iterations, budget,
+                             diag);
         basis.solve_flops += result.flops;
         basis.solve_bytes_moved += result.matrix_bytes_moved;
-        step = Step::kFullReorth;
-      } else if (step == Step::kFullReorth) {
-        if (sopts.reorthogonalization !=
-            linalg::Reorthogonalization::kFull) {
-          sopts.reorthogonalization = linalg::Reorthogonalization::kFull;
-          note_fallback(diag, "switched to full reorthogonalization");
-          result = run_attempt(q, solver, want, seed, sopts, opts.parallel,
-                               budget, diag);
-          basis.solve_flops += result.flops;
-          basis.solve_bytes_moved += result.matrix_bytes_moved;
-        }
         step = Step::kDense;
       } else if (step == Step::kDense) {
-        if (sopts.dense_fallback_limit > 0 &&
-            n <= sopts.dense_fallback_limit) {
+        if (opts.solver.dense_fallback_limit > 0 &&
+            n <= opts.solver.dense_fallback_limit) {
           note_fallback(
               diag, strprintf("dense eigensolver fallback (n = %zu above "
                               "dense_threshold = %zu)",
-                              n, sopts.dense_threshold));
+                              n, opts.solver.dense_threshold));
           linalg::EigenDecomposition dec =
               linalg::solve_symmetric_eigen_smallest(q.to_dense(), want);
           values = std::move(dec.values);

@@ -2,12 +2,12 @@
 //
 // Chooses between the exact dense solver (small graphs, test oracles) and
 // Lanczos (everything else). The Lanczos path is wrapped in a hardened
-// fallback chain — reseeded restart, enlarged Krylov space, full
-// reorthogonalization, dense solve even above the threshold, and finally
-// truncation to the converged eigenpair prefix — so a clustered spectrum
-// degrades the basis gracefully instead of aborting the pipeline. Every
-// recovery step is recorded in the optional Diagnostics sink. All spectral
-// heuristics (SB, RSB, KP, SFC, MELO) get their eigenvectors from here.
+// fallback chain — reseeded restart, enlarged Krylov space, dense solve
+// even above the threshold, and finally truncation to the converged
+// eigenpair prefix — so a clustered spectrum degrades the basis gracefully
+// instead of aborting the pipeline. Every recovery step is recorded in the
+// optional Diagnostics sink. All spectral heuristics (SB, RSB, KP, SFC,
+// MELO) get their eigenvectors from here.
 #pragma once
 
 #include <cstdint>
@@ -31,10 +31,8 @@ struct EmbeddingOptions {
   /// Drop the trivial first pair and return the `count` pairs after it.
   bool skip_trivial = false;
   std::uint64_t seed = 0xABCDEFULL;
-  /// The one solver-configuration struct: backend selection (scalar |
-  /// block), tolerance, dense threshold / fallback limit, iteration caps.
-  /// Replaces the former per-field knobs (dense_threshold, tolerance,
-  /// dense_fallback_limit) that every caller re-plumbed separately.
+  /// The one solver-configuration struct: backend (scalar | block),
+  /// strategy (flat | multilevel), dense threshold / fallback limit.
   linalg::SolverOptions solver;
   /// Compute-kernel threading, forwarded to the iterative solvers (the
   /// dense oracle stays serial). See LanczosOptions::parallel.

@@ -1,4 +1,5 @@
-// Tests for the block Lanczos driver and the EigenSolver backend API.
+// Tests for the block Lanczos driver and the backend dispatch
+// (linalg::solve_smallest).
 //
 // Validated against the exact dense solver on random graph Laplacians
 // (eigenvalues and principal angles of the computed subspace), on
@@ -186,24 +187,18 @@ TEST(BlockLanczos, CountersTrackMatrixTraffic) {
       << "scalar bytes/pair " << scalar_bpp << " vs block " << block_bpp;
 }
 
-TEST(EigenSolverApi, BackendNames) {
-  EXPECT_EQ(eigen_solver(SolverBackend::kScalar).name(), "scalar");
-  EXPECT_EQ(eigen_solver(SolverBackend::kBlock).name(), "block");
-}
-
 TEST(EigenSolverApi, ScalarBackendByteIdenticalToDirectLanczos) {
   const SymCsrMatrix q = random_laplacian(150, 400, 17);
   const std::size_t d = 6;
   const std::uint64_t seed = 0xABCDEFULL;
 
-  SolverOptions sopts;  // defaults: the embedding driver's configuration
-  const LanczosResult via_api = eigen_solver(SolverBackend::kScalar)
-                                    .solve_smallest(q, d, seed, sopts,
-                                                    ParallelConfig{}, nullptr);
+  // The embedding driver's first attempt: automatic Krylov cap.
+  const LanczosResult via_api = solve_smallest(
+      q, SolverBackend::kScalar, d, seed, 0, ParallelConfig{}, nullptr);
 
   LanczosOptions direct;
   direct.num_eigenpairs = d;
-  direct.tolerance = sopts.tolerance;
+  direct.tolerance = kSolverTolerance;
   direct.seed = seed;
   const LanczosResult expected = lanczos_smallest(q, direct);
 

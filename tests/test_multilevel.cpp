@@ -22,6 +22,7 @@
 #include "multilevel/coarsen.h"
 #include "multilevel/vcycle.h"
 #include "spectral/embedding.h"
+#include "util/fault.h"
 #include "util/rng.h"
 
 namespace specpart::multilevel {
@@ -30,6 +31,12 @@ namespace {
 using linalg::DenseMatrix;
 using linalg::SymCsrMatrix;
 using linalg::Vec;
+
+#ifdef SPECPART_FAULT_INJECTION
+constexpr bool kFaultsCompiled = true;
+#else
+constexpr bool kFaultsCompiled = false;
+#endif
 
 /// Random connected graph Laplacian (spanning tree + extra random edges).
 SymCsrMatrix random_laplacian(std::size_t n, std::size_t extra_edges,
@@ -152,10 +159,9 @@ TEST(Coarsen, HierarchyReachesTheConfiguredFloor) {
 
 TEST(Multilevel, RitzResidualsCertifiedAtEveryLevel) {
   const SymCsrMatrix q = netlist_laplacian(1200, 1234);
-  linalg::SolverOptions sopts;
   MultilevelStats stats;
   const linalg::LanczosResult r = multilevel_solve_smallest(
-      q, 10, 0x3E10ULL, sopts, ParallelConfig{}, nullptr, &stats);
+      q, 10, 0x3E10ULL, ParallelConfig{}, nullptr, &stats);
   ASSERT_TRUE(r.converged);
   EXPECT_EQ(r.num_converged, 10u);
   ASSERT_GE(stats.levels, 1u);
@@ -163,7 +169,7 @@ TEST(Multilevel, RitzResidualsCertifiedAtEveryLevel) {
   ASSERT_EQ(stats.per_level.size(), stats.levels);
   EXPECT_GT(stats.coarsening_ratio, 1.0);
   for (const LevelStats& ls : stats.per_level)
-    EXPECT_LE(ls.relative_residual, sopts.ml_refine_tolerance)
+    EXPECT_LE(ls.relative_residual, kRefineTolerance)
         << "level n=" << ls.n;
   EXPECT_EQ(stats.per_level.back().n, q.size());  // finest last
   // Ritz values ascend and start at the trivial eigenvalue.
@@ -178,9 +184,8 @@ TEST(Multilevel, RitzResidualsCertifiedAtEveryLevel) {
 
 TEST(Multilevel, MatchesDenseEigenvalues) {
   const SymCsrMatrix q = netlist_laplacian(600, 1234);
-  linalg::SolverOptions sopts;
-  const linalg::LanczosResult r = multilevel_solve_smallest(
-      q, 6, 0x3E10ULL, sopts, ParallelConfig{});
+  const linalg::LanczosResult r =
+      multilevel_solve_smallest(q, 6, 0x3E10ULL, ParallelConfig{});
   ASSERT_TRUE(r.converged);
   const linalg::EigenDecomposition exact =
       linalg::solve_symmetric_eigen_smallest(q.to_dense(), 6);
@@ -213,13 +218,12 @@ TEST(Multilevel, DegenerateNetlistsWithPathologicalNets) {
   const SymCsrMatrix q =
       model::build_clique_laplacian(h, model::NetModel::kStandard);
 
-  linalg::SolverOptions sopts;
   MultilevelStats stats;
   const linalg::LanczosResult r = multilevel_solve_smallest(
-      q, 4, 0x3E10ULL, sopts, ParallelConfig{}, nullptr, &stats);
+      q, 4, 0x3E10ULL, ParallelConfig{}, nullptr, &stats);
   ASSERT_EQ(r.values.size(), 4u);
   EXPECT_NEAR(r.values[0], 0.0, 1e-6);
-  const double accept = sopts.ml_refine_tolerance * q.gershgorin_upper();
+  const double accept = kRefineTolerance * q.gershgorin_upper();
   for (std::size_t j = 0; j < r.num_converged; ++j) {
     const Vec v = r.vectors.col(j);
     Vec qv = q.matvec(v);
@@ -255,21 +259,20 @@ TEST(Multilevel, CutQualityWithinFivePercentOfFlat) {
 }
 
 TEST(Multilevel, EmbeddingFallsBackToFlatOnUnmetTolerance) {
-  // An unreachable refinement tolerance forces the V-cycle to report
-  // non-convergence; the embedding layer must then run the flat chain and
-  // still deliver a converged basis, recording the fallback.
+  // A V-cycle that reports non-convergence (forced through the fault
+  // point) must make the embedding layer run the flat chain and still
+  // deliver a converged basis, recording the fallback.
+  if (!kFaultsCompiled) GTEST_SKIP() << "fault injection compiled out";
+  fault::ScopedFaults guard;
   const SymCsrMatrix q = netlist_laplacian(600, 1234);
   spectral::EmbeddingOptions eopts;
   eopts.count = 6;
   eopts.solver.strategy = linalg::SolverStrategy::kMultilevel;
-  eopts.solver.ml_refine_tolerance = 1e-300;
-  // One sweep = only the mandatory consistency Rayleigh-Ritz pass: the
-  // prolonged coarse basis is never filtered, so its residual cannot meet
-  // the acceptance bound.
-  eopts.solver.ml_refine_sweeps = 1;
+  fault::arm("multilevel.force_nonconverge", 1);
   Diagnostics diag;
   const spectral::EigenBasis basis =
       spectral::compute_eigenbasis(q, eopts, &diag);
+  EXPECT_EQ(fault::triggered("multilevel.force_nonconverge"), 1u);
   EXPECT_TRUE(basis.converged);
   EXPECT_GE(diag.stage_fallbacks("eigensolve"), 1u);
   bool saw_fallback = false;
@@ -285,9 +288,8 @@ TEST(Multilevel, BitIdenticalAcrossThreadCounts) {
   // deterministic primitives — so 1 thread, 2 threads and the auto lane
   // (8 threads in the test_multilevel_mt ctest run) must agree bitwise.
   const SymCsrMatrix q = netlist_laplacian(1000, 1234);
-  linalg::SolverOptions sopts;
   const auto solve = [&](const ParallelConfig& par) {
-    return multilevel_solve_smallest(q, 8, 0x3E10ULL, sopts, par);
+    return multilevel_solve_smallest(q, 8, 0x3E10ULL, par);
   };
   const linalg::LanczosResult one = solve(ParallelConfig::with_threads(1));
   const linalg::LanczosResult two = solve(ParallelConfig::with_threads(2));

@@ -22,6 +22,7 @@
 #include "service/service.h"
 #include "util/error.h"
 #include "util/hashing.h"
+#include "util/stringutil.h"
 
 namespace specpart::service {
 namespace {
@@ -49,6 +50,15 @@ std::string wire(const PartitionResponse& resp) {
   std::ostringstream out;
   write_response(resp, out);
   return out.str();
+}
+
+/// The cache key the service computes for `h` under `opts` (default net
+/// model, no net-size filter).
+Fingerprint key_of(const graph::Hypergraph& h,
+                   const spectral::EmbeddingOptions& opts,
+                   std::size_t solve_count = 16) {
+  return EmbeddingCache::netlist_key(
+      h, model::NetModel::kPartitioningSpecific, 0, opts, solve_count);
 }
 
 bool has_stage(const Diagnostics& diag, const std::string& name) {
@@ -100,22 +110,47 @@ TEST(Cache, QuantizedCountRoundsUp) {
 }
 
 TEST(Cache, KeyIgnoresUnrelatedOptionsButSeesGraphAndSolver) {
-  const graph::Graph g = model::clique_expand(
-      small_netlist(), model::NetModel::kPartitioningSpecific);
-  const graph::Graph g2 = model::clique_expand(
-      small_netlist(11), model::NetModel::kPartitioningSpecific);
+  const graph::Hypergraph h = small_netlist();
   spectral::EmbeddingOptions e;
-  const Fingerprint base = EmbeddingCache::eigen_key(g, e, 16);
-  EXPECT_EQ(base, EmbeddingCache::eigen_key(g, e, 16));
-  EXPECT_NE(base, EmbeddingCache::eigen_key(g2, e, 16));
-  EXPECT_NE(base, EmbeddingCache::eigen_key(g, e, 24));
+  const Fingerprint base = key_of(h, e);
+  // Content addressing: a separately built identical netlist hits.
+  EXPECT_EQ(base, key_of(small_netlist(), e));
+  EXPECT_NE(base, key_of(small_netlist(11), e));
+  EXPECT_NE(base, key_of(h, e, 24));
   spectral::EmbeddingOptions seeded = e;
   seeded.seed ^= 1;
-  EXPECT_NE(base, EmbeddingCache::eigen_key(g, seeded, 16));
+  EXPECT_NE(base, key_of(h, seeded));
+  // The net model is content too, keyed without expanding anything.
+  EXPECT_NE(base,
+            EmbeddingCache::netlist_key(h, model::NetModel::kFrankle, 0, e, 16));
   // Threading is a how, not a what: it must not change the content key.
   spectral::EmbeddingOptions threaded = e;
   threaded.parallel = ParallelConfig::with_threads(8);
-  EXPECT_EQ(base, EmbeddingCache::eigen_key(g, threaded, 16));
+  EXPECT_EQ(base, key_of(h, threaded));
+}
+
+TEST(Cache, NetlistKeyGoldenValues) {
+  // Pinned digests of one fixed netlist under the default options and
+  // under each non-default solve token the wire can carry. A changed key
+  // orphans every stored tier-2 file, so any change to what netlist_key
+  // mixes must come with a deliberate update of these values.
+  const graph::Hypergraph h(
+      8, {{0, 1, 2}, {2, 3}, {3, 4, 5, 6}, {6, 7}, {7, 0, 4}, {1, 5}},
+      {1.0, 2.0, 1.0, 0.5, 1.0, 3.0});
+  const auto key = [&](const core::PipelineConfig& p) {
+    return key_of(h, p.embedding_options()).hex();
+  };
+  const core::PipelineConfig base;
+  EXPECT_EQ(key(base), "c95f591f8c8b77a0715219f01d681329");
+  core::PipelineConfig block = base;
+  block.solver.backend = core::SolverBackend::kBlock;
+  EXPECT_EQ(key(block), "de1d52c9f324bde63caa1a5a7b46a2ef");
+  core::PipelineConfig multilevel = base;
+  multilevel.solver.strategy = core::SolverStrategy::kMultilevel;
+  EXPECT_EQ(key(multilevel), "de83a664c6ee8612b7cb57a103a8f157");
+  core::PipelineConfig normalized = base;
+  normalized.objective = core::ObjectiveModel::kNormalizedSymmetric;
+  EXPECT_EQ(key(normalized), "469e0c0945d2bdd2d735b77ba10f898e");
 }
 
 TEST(Cache, SolverBackendsLiveInDisjointKeyDomains) {
@@ -123,13 +158,11 @@ TEST(Cache, SolverBackendsLiveInDisjointKeyDomains) {
   // so scalar- and block-produced embeddings must never alias: a cache
   // warmed by scalar requests has to miss when the same netlist arrives
   // with solver=block.
-  const graph::Graph g = model::clique_expand(
-      small_netlist(), model::NetModel::kPartitioningSpecific);
+  const graph::Hypergraph h = small_netlist();
   spectral::EmbeddingOptions e;
   spectral::EmbeddingOptions blocked = e;
   blocked.solver.backend = linalg::SolverBackend::kBlock;
-  EXPECT_NE(EmbeddingCache::eigen_key(g, e, 16),
-            EmbeddingCache::eigen_key(g, blocked, 16));
+  EXPECT_NE(key_of(h, e), key_of(h, blocked));
 
   PartitionService svc;
   PartitionRequest req = make_request();
@@ -149,31 +182,12 @@ TEST(Cache, SolverBackendsLiveInDisjointKeyDomains) {
 TEST(Cache, SolverStrategiesLiveInDisjointKeyDomains) {
   // The solve strategy changes the numerical content of the basis (the
   // V-cycle converges to its own acceptance bound, not the flat chain's),
-  // so flat- and multilevel-produced embeddings must never alias — in
-  // BOTH key domains: the legacy graph key and the netlist key.
+  // so flat- and multilevel-produced embeddings must never alias.
   const graph::Hypergraph h = small_netlist();
-  const graph::Graph g =
-      model::clique_expand(h, model::NetModel::kPartitioningSpecific);
   spectral::EmbeddingOptions e;
   spectral::EmbeddingOptions ml = e;
   ml.solver.strategy = linalg::SolverStrategy::kMultilevel;
-  EXPECT_NE(EmbeddingCache::eigen_key(g, e, 16),
-            EmbeddingCache::eigen_key(g, ml, 16));
-  EXPECT_NE(
-      EmbeddingCache::netlist_key(h, model::NetModel::kPartitioningSpecific,
-                                  0, e, 16),
-      EmbeddingCache::netlist_key(h, model::NetModel::kPartitioningSpecific,
-                                  0, ml, 16));
-  // The multilevel tuning knobs are content too, in both domains.
-  spectral::EmbeddingOptions tuned = ml;
-  tuned.solver.ml_refine_degree += 1;
-  EXPECT_NE(EmbeddingCache::eigen_key(g, ml, 16),
-            EmbeddingCache::eigen_key(g, tuned, 16));
-  EXPECT_NE(
-      EmbeddingCache::netlist_key(h, model::NetModel::kPartitioningSpecific,
-                                  0, ml, 16),
-      EmbeddingCache::netlist_key(h, model::NetModel::kPartitioningSpecific,
-                                  0, tuned, 16));
+  EXPECT_NE(key_of(h, e), key_of(h, ml));
 
   // End to end: a cache warmed by a flat request must miss when the same
   // netlist arrives with strategy=multilevel.
@@ -193,15 +207,15 @@ TEST(Cache, SolverStrategiesLiveInDisjointKeyDomains) {
 }
 
 TEST(Cache, RepeatedSolveHitsAndSkipsEigensolve) {
-  const graph::Graph g = model::clique_expand(
-      small_netlist(), model::NetModel::kPartitioningSpecific);
+  const graph::Hypergraph h = small_netlist();
+  const model::CliqueModel cm(h, model::NetModel::kPartitioningSpecific);
   spectral::EmbeddingOptions e;
   e.count = 8;
 
   EmbeddingCache cache;
   Diagnostics cold, warm;
-  const spectral::EigenBasis b1 = cache.compute(g, e, &cold, nullptr);
-  const spectral::EigenBasis b2 = cache.compute(g, e, &warm, nullptr);
+  const spectral::EigenBasis b1 = cache.compute(cm, e, &cold, nullptr);
+  const spectral::EigenBasis b2 = cache.compute(cm, e, &warm, nullptr);
 
   EXPECT_TRUE(has_stage(cold, "eigensolve"));
   EXPECT_FALSE(has_stage(cold, "embedding_cache_hit"));
@@ -217,17 +231,17 @@ TEST(Cache, RepeatedSolveHitsAndSkipsEigensolve) {
 }
 
 TEST(Cache, PrefixReuseServesSmallerDFromOneEntry) {
-  const graph::Graph g = model::clique_expand(
-      small_netlist(), model::NetModel::kPartitioningSpecific);
+  const graph::Hypergraph h = small_netlist();
+  const model::CliqueModel cm(h, model::NetModel::kPartitioningSpecific);
   spectral::EmbeddingOptions e10;
   e10.count = 10;  // quantized to 16
   spectral::EmbeddingOptions e12 = e10;
   e12.count = 12;  // same bucket
 
   EmbeddingCache cache;
-  const spectral::EigenBasis b10 = cache.compute(g, e10, nullptr, nullptr);
+  const spectral::EigenBasis b10 = cache.compute(cm, e10, nullptr, nullptr);
   Diagnostics warm;
-  const spectral::EigenBasis b12 = cache.compute(g, e12, &warm, nullptr);
+  const spectral::EigenBasis b12 = cache.compute(cm, e12, &warm, nullptr);
 
   EXPECT_EQ(b10.dimension(), 10u);
   EXPECT_EQ(b12.dimension(), 12u);
@@ -249,99 +263,54 @@ TEST(Cache, PrefixReuseServesSmallerDFromOneEntry) {
 TEST(Cache, LruEvictionUnderByteBudget) {
   spectral::EmbeddingOptions e;
   e.count = 8;
-  const auto expand = [](std::uint64_t seed) {
-    return model::clique_expand(small_netlist(seed),
-                                model::NetModel::kPartitioningSpecific);
-  };
-  const graph::Graph g1 = expand(1), g2 = expand(2), g3 = expand(3);
+  const graph::Hypergraph h1 = small_netlist(1), h2 = small_netlist(2),
+                         h3 = small_netlist(3);
+  const model::CliqueModel m1(h1, model::NetModel::kPartitioningSpecific);
+  const model::CliqueModel m2(h2, model::NetModel::kPartitioningSpecific);
+  const model::CliqueModel m3(h3, model::NetModel::kPartitioningSpecific);
 
   // Learn one entry's footprint, then budget for two.
   EmbeddingCache probe;
-  probe.compute(g1, e, nullptr, nullptr);
+  probe.compute(m1, e, nullptr, nullptr);
   const std::size_t entry_bytes = probe.stats().bytes;
   ASSERT_GT(entry_bytes, 0u);
 
   EmbeddingCacheOptions opts;
   opts.max_bytes = 2 * entry_bytes + entry_bytes / 2;
   EmbeddingCache cache(opts);
-  cache.compute(g1, e, nullptr, nullptr);
-  cache.compute(g2, e, nullptr, nullptr);
-  cache.compute(g3, e, nullptr, nullptr);  // evicts g1 (LRU)
+  cache.compute(m1, e, nullptr, nullptr);
+  cache.compute(m2, e, nullptr, nullptr);
+  cache.compute(m3, e, nullptr, nullptr);  // evicts m1 (LRU)
 
   EmbeddingCacheStats s = cache.stats();
   EXPECT_EQ(s.evictions, 1u);
   EXPECT_EQ(s.entries, 2u);
   EXPECT_LE(s.bytes, opts.max_bytes);
 
-  // g3 and g2 survived; g1 must miss again.
-  cache.compute(g3, e, nullptr, nullptr);
-  cache.compute(g2, e, nullptr, nullptr);
+  // m3 and m2 survived; m1 must miss again.
+  cache.compute(m3, e, nullptr, nullptr);
+  cache.compute(m2, e, nullptr, nullptr);
   EXPECT_EQ(cache.stats().hits, 2u);
-  cache.compute(g1, e, nullptr, nullptr);
+  cache.compute(m1, e, nullptr, nullptr);
   EXPECT_EQ(cache.stats().misses, 4u);
 }
 
 TEST(Cache, DisabledCacheNeverStoresAndSkipsQuantization) {
-  const graph::Graph g = model::clique_expand(
-      small_netlist(), model::NetModel::kPartitioningSpecific);
+  const graph::Hypergraph h = small_netlist();
+  const model::CliqueModel cm(h, model::NetModel::kPartitioningSpecific);
   spectral::EmbeddingOptions e;
   e.count = 10;
   EmbeddingCacheOptions opts;
   opts.max_bytes = 0;
   EmbeddingCache cache(opts);
-  const spectral::EigenBasis b = cache.compute(g, e, nullptr, nullptr);
+  const spectral::EigenBasis b = cache.compute(cm, e, nullptr, nullptr);
   EXPECT_EQ(b.dimension(), 10u);
   EXPECT_EQ(cache.stats().entries, 0u);
 
   // Byte-identical to the raw pipeline when disabled.
-  const spectral::EigenBasis raw = spectral::compute_eigenbasis(g, e);
+  const spectral::EigenBasis raw = spectral::compute_eigenbasis(
+      model::clique_expand(h, model::NetModel::kPartitioningSpecific), e);
   expect_same_basis(b, raw);
-}
-
-TEST(Cache, NetlistKeyAgreesWithGraphKeyOnHitMissBehavior) {
-  // The re-keyed cache (netlist_key over the hypergraph) must make the
-  // same hit/miss decisions the legacy graph key made: keys agree iff the
-  // expanded clique graphs + solver options agree.
-  spectral::EmbeddingOptions e;
-  e.count = 8;
-  const auto graph_key = [&](const graph::Hypergraph& h,
-                             const spectral::EmbeddingOptions& opts) {
-    return EmbeddingCache::eigen_key(
-        model::clique_expand(h, model::NetModel::kPartitioningSpecific), opts,
-        16);
-  };
-  const auto hgr_key = [&](const graph::Hypergraph& h,
-                           const spectral::EmbeddingOptions& opts) {
-    return EmbeddingCache::netlist_key(
-        h, model::NetModel::kPartitioningSpecific, 0, opts, 16);
-  };
-
-  const graph::Hypergraph h1 = small_netlist(7);
-  const graph::Hypergraph h1_again = small_netlist(7);
-  const graph::Hypergraph h2 = small_netlist(8);
-
-  // Identical netlist: both schemes hit.
-  EXPECT_EQ(hgr_key(h1, e), hgr_key(h1_again, e));
-  EXPECT_EQ(graph_key(h1, e), graph_key(h1_again, e));
-
-  // Different netlist: both schemes miss.
-  EXPECT_NE(hgr_key(h1, e), hgr_key(h2, e));
-  EXPECT_NE(graph_key(h1, e), graph_key(h2, e));
-
-  // Solver-option changes invalidate both the same way.
-  spectral::EmbeddingOptions seeded = e;
-  seeded.seed ^= 0x5555;
-  EXPECT_NE(hgr_key(h1, e), hgr_key(h1, seeded));
-  EXPECT_NE(graph_key(h1, e), graph_key(h1, seeded));
-
-  // Net-model changes miss under the new key without expanding anything.
-  EXPECT_NE(hgr_key(h1, e),
-            EmbeddingCache::netlist_key(h1, model::NetModel::kFrankle, 0, e,
-                                        16));
-
-  // The two schemes use disjoint key domains: a request can never hit an
-  // entry inserted under the other scheme.
-  EXPECT_NE(hgr_key(h1, e), graph_key(h1, e));
 }
 
 TEST(Cache, NetlistHitSkipsCliqueExpansionEntirely) {
@@ -614,16 +583,21 @@ TEST(Protocol, SolverFieldDefaultsToScalarAndRoundTrips) {
   EXPECT_EQ(first.str(), second.str());
 }
 
-TEST(Protocol, UnknownSolverTokenIsStructuredBadRequest) {
-  std::istringstream bad(
-      "REQUEST id=x solver=qr_iteration graph_lines=0\nEND\n");
-  try {
-    read_request(bad);
-    FAIL() << "unknown solver token must be rejected";
-  } catch (const Error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("bad_request"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("qr_iteration"), std::string::npos) << msg;
+TEST(Protocol, UnknownEnumTokenIsStructuredBadRequest) {
+  // One rule for every enum field: a typo is a bad_request naming the
+  // token, whichever field carries it.
+  for (const std::string field : {"scaling", "selection", "net_model",
+                                  "solver", "strategy", "objective"}) {
+    std::istringstream bad("REQUEST id=x " + field +
+                           "=bogus graph_lines=0\nEND\n");
+    try {
+      read_request(bad);
+      ADD_FAILURE() << field << "=bogus must be rejected";
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      EXPECT_TRUE(starts_with(msg, "bad_request: ")) << field << ": " << msg;
+      EXPECT_NE(msg.find("bogus"), std::string::npos) << msg;
+    }
   }
 }
 
@@ -653,19 +627,6 @@ TEST(Protocol, StrategyFieldDefaultsToFlatAndRoundTrips) {
   std::ostringstream second;
   write_request(*parsed, second);
   EXPECT_EQ(first.str(), second.str());
-}
-
-TEST(Protocol, UnknownStrategyTokenIsStructuredBadRequest) {
-  std::istringstream bad(
-      "REQUEST id=x strategy=cascadic graph_lines=0\nEND\n");
-  try {
-    read_request(bad);
-    FAIL() << "unknown strategy token must be rejected";
-  } catch (const Error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("bad_request"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("cascadic"), std::string::npos) << msg;
-  }
 }
 
 TEST(Protocol, AbsurdAnnouncedPayloadIsRejectedBeforeReading) {
