@@ -2,13 +2,14 @@
 //
 // The paper quotes LASO2 Lanczos runtimes for its eigenvector computations;
 // this is the equivalent measurement for our from-scratch Lanczos, plus the
-// dense oracle for context.
+// dense oracle and the per-check QL solve for context.
 #include <benchmark/benchmark.h>
 
 #include "graph/generator.h"
 #include "graph/laplacian.h"
 #include "linalg/lanczos.h"
 #include "linalg/symmetric_eigen.h"
+#include "linalg/tridiagonal.h"
 #include "model/clique_models.h"
 
 namespace {
@@ -91,6 +92,24 @@ void BM_DenseEigenOracle(benchmark::State& state) {
 }
 BENCHMARK(BM_DenseEigenOracle)->Arg(100)->Arg(200)->Arg(400)->Unit(
     benchmark::kMillisecond);
+
+// One scalar-Lanczos Ritz check: the QL solve of an m x m tridiagonal
+// with an identity z, as lanczos_smallest runs it at every convergence
+// check (the tridiagonal comes from a benchmark Laplacian of order m).
+void BM_RitzCheck(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const linalg::Tridiagonal t = linalg::householder_tridiagonalize(
+      benchmark_laplacian(m).to_dense(), nullptr);
+  for (auto _ : state) {
+    linalg::Tridiagonal work = t;
+    linalg::DenseMatrix z = linalg::DenseMatrix::identity(m);
+    linalg::tridiagonal_eigen(work, z);
+    benchmark::DoNotOptimize(z.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel("m=" + std::to_string(m));
+}
+BENCHMARK(BM_RitzCheck)->Arg(100)->Arg(300)->Unit(benchmark::kMillisecond);
 
 void BM_SparseMatvec(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

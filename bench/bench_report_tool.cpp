@@ -215,7 +215,8 @@ int main(int argc, char** argv) {
       // for flat includes the escalation chain a cold solve actually
       // pays), serial under strategy=flat and parallel under
       // strategy=multilevel, so `speedup` records the multilevel-vs-flat
-      // end-to-end ratio (>= 3x at n=20000). Counters, hierarchy shape
+      // end-to-end ratio (>= 3x at n=20000; BENCH_kernels.json holds the
+      // current value). Counters, hierarchy shape
       // and per-level sweep timings come from the V-cycle's own
       // instrumentation.
       const std::size_t n = smoke ? scaled(2000) : scaled(20000);

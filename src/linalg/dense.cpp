@@ -67,16 +67,6 @@ DenseMatrix DenseMatrix::identity(std::size_t n) {
   return m;
 }
 
-double& DenseMatrix::at(std::size_t i, std::size_t j) {
-  SP_ASSERT(i < rows_ && j < cols_);
-  return data_[i * cols_ + j];
-}
-
-double DenseMatrix::at(std::size_t i, std::size_t j) const {
-  SP_ASSERT(i < rows_ && j < cols_);
-  return data_[i * cols_ + j];
-}
-
 Vec DenseMatrix::matvec(const Vec& x) const {
   SP_ASSERT(x.size() == cols_);
   Vec y(rows_, 0.0);

@@ -9,6 +9,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "util/error.h"
+
 namespace specpart::linalg {
 
 /// Dense real vector.
@@ -90,8 +92,16 @@ class DenseMatrix {
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
 
-  double& at(std::size_t i, std::size_t j);
-  double at(std::size_t i, std::size_t j) const;
+  /// Bounds-checked element access. Defined here so the O(n^3) dense
+  /// eigensolver loops inline it.
+  double& at(std::size_t i, std::size_t j) {
+    SP_ASSERT(i < rows_ && j < cols_);
+    return data_[i * cols_ + j];
+  }
+  double at(std::size_t i, std::size_t j) const {
+    SP_ASSERT(i < rows_ && j < cols_);
+    return data_[i * cols_ + j];
+  }
 
   /// y = A x.
   Vec matvec(const Vec& x) const;

@@ -12,6 +12,14 @@ namespace {
 inline double sign_of(double a, double b) {
   return b >= 0.0 ? std::fabs(a) : -std::fabs(a);
 }
+
+void transpose_square(DenseMatrix& z) {
+  const std::size_t n = z.rows();
+  double* a = z.data();
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j)
+      std::swap(a[i * n + j], a[j * n + i]);
+}
 }  // namespace
 
 Tridiagonal householder_tridiagonalize(DenseMatrix a, DenseMatrix* accumulated) {
@@ -99,6 +107,12 @@ void tridiagonal_eigen(Tridiagonal& t, DenseMatrix& z) {
   for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
   e[n - 1] = 0.0;
 
+  // The rotations and the closing sort act on eigenvector columns; on the
+  // transpose each is a pass over two contiguous rows. Every element sees
+  // tql2's operations in tql2's order, so the bits match the column form,
+  // which stored bases and the golden response digests rely on.
+  transpose_square(z);
+
   constexpr double kEps = 1e-15;
   for (std::size_t l = 0; l < n; ++l) {
     int iter = 0;
@@ -135,10 +149,12 @@ void tridiagonal_eigen(Tridiagonal& t, DenseMatrix& z) {
           p = s * r;
           d[i + 1] = g + p;
           g = c * r - b;
+          double* zi = z.data() + i * n;
+          double* zi1 = zi + n;
           for (std::size_t k = 0; k < n; ++k) {
-            f = z.at(k, i + 1);
-            z.at(k, i + 1) = s * z.at(k, i) + c * f;
-            z.at(k, i) = c * z.at(k, i) - s * f;
+            f = zi1[k];
+            zi1[k] = s * zi[k] + c * f;
+            zi[k] = c * zi[k] - s * f;
           }
         }
         if (underflow) continue;
@@ -149,7 +165,8 @@ void tridiagonal_eigen(Tridiagonal& t, DenseMatrix& z) {
     } while (m != l);
   }
 
-  // Sort eigenpairs ascending by eigenvalue (selection sort on columns).
+  // Sort eigenpairs ascending by eigenvalue (selection sort on the rows of
+  // the transpose).
   for (std::size_t i = 0; i + 1 < n; ++i) {
     std::size_t k = i;
     double p = d[i];
@@ -161,10 +178,11 @@ void tridiagonal_eigen(Tridiagonal& t, DenseMatrix& z) {
     }
     if (k != i) {
       std::swap(d[k], d[i]);
-      for (std::size_t row = 0; row < n; ++row)
-        std::swap(z.at(row, i), z.at(row, k));
+      std::swap_ranges(z.data() + i * n, z.data() + (i + 1) * n,
+                       z.data() + k * n);
     }
   }
+  transpose_square(z);
 }
 
 Vec tridiagonal_eigenvalues(Tridiagonal t) {

@@ -1,6 +1,7 @@
 #include "spectral/embedding.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "graph/laplacian.h"
 #include "linalg/eigensolver.h"
@@ -86,6 +87,15 @@ EigenBasis eigenbasis_of_laplacian(const linalg::SymCsrMatrix& q,
         diag->add_counter(kStage, "multilevel_coarsest_n", mstats.coarsest_n);
         diag->add_counter(kStage, "multilevel_refine_sweeps",
                           mstats.total_sweeps());
+        const auto micros = [](double seconds) {
+          return static_cast<std::uint64_t>(std::llround(seconds * 1e6));
+        };
+        diag->add_counter(kStage, "multilevel_coarsen_us",
+                          micros(mstats.coarsen_seconds));
+        diag->add_counter(kStage, "multilevel_coarse_solve_us",
+                          micros(mstats.coarse_solve_seconds));
+        diag->add_counter(kStage, "multilevel_refine_us",
+                          micros(mstats.refine_seconds));
       }
       have_result = result.converged || result.budget_exhausted;
       if (!have_result)

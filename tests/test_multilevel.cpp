@@ -282,6 +282,30 @@ TEST(Multilevel, EmbeddingFallsBackToFlatOnUnmetTolerance) {
   EXPECT_TRUE(saw_fallback);
 }
 
+TEST(Multilevel, EmbeddingRecordsHierarchyAndPhaseCounters) {
+  // A multilevel solve publishes its hierarchy shape and the time of each
+  // V-cycle phase as eigensolve.multilevel_* diagnostics counters.
+  const SymCsrMatrix q = netlist_laplacian(600, 1234);
+  spectral::EmbeddingOptions eopts;
+  eopts.count = 6;
+  eopts.solver.strategy = linalg::SolverStrategy::kMultilevel;
+  Diagnostics diag;
+  const spectral::EigenBasis basis =
+      spectral::compute_eigenbasis(q, eopts, &diag);
+  EXPECT_TRUE(basis.converged);
+  for (const char* name :
+       {"multilevel_levels", "multilevel_coarsest_n",
+        "multilevel_refine_sweeps", "multilevel_coarsen_us",
+        "multilevel_coarse_solve_us", "multilevel_refine_us"}) {
+    bool present = false;
+    for (const StageCounter& c : diag.counters())
+      if (c.stage == "eigensolve" && c.name == name) present = true;
+    EXPECT_TRUE(present) << name;
+  }
+  EXPECT_GE(diag.counter("eigensolve", "multilevel_levels"), 1u);
+  EXPECT_GT(diag.counter("eigensolve", "multilevel_coarsest_n"), 0u);
+}
+
 TEST(Multilevel, BitIdenticalAcrossThreadCounts) {
   // Matching is serial, the coarse assembly honors the CSR stable-merge
   // contract, and every refinement kernel uses the fixed-block

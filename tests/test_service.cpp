@@ -153,6 +153,35 @@ TEST(Cache, NetlistKeyGoldenValues) {
   EXPECT_EQ(key(normalized), "469e0c0945d2bdd2d735b77ba10f898e");
 }
 
+TEST(Service, ColdResponseGoldenDigests) {
+  // Pinned digests of one cold k=2, d=8 response under the default
+  // options and under each non-default solve token the wire can carry.
+  // At 700 modules the flat path runs Lanczos (above the dense threshold)
+  // and the V-cycle builds at least one level above its floor. A stored
+  // basis is served as if computed now, so any change to solver
+  // arithmetic that moves these bytes must come with a deliberate update
+  // of these values. The response carries the split, not the basis: the
+  // three unnormalized solves reach the same split, hence one digest.
+  PartitionRequest req = make_request();
+  req.graph = small_netlist(7, 700);
+  const auto digest = [](const PartitionRequest& r) {
+    PartitionService svc;
+    Hasher h;
+    h.mix_string(wire(svc.execute(r)));
+    return h.digest().hex();
+  };
+  EXPECT_EQ(digest(req), "debec5f298c71ce1b01a9e2ddd05bd15");
+  PartitionRequest block = req;
+  block.pipeline.solver.backend = core::SolverBackend::kBlock;
+  EXPECT_EQ(digest(block), "debec5f298c71ce1b01a9e2ddd05bd15");
+  PartitionRequest multilevel = req;
+  multilevel.pipeline.solver.strategy = core::SolverStrategy::kMultilevel;
+  EXPECT_EQ(digest(multilevel), "debec5f298c71ce1b01a9e2ddd05bd15");
+  PartitionRequest normalized = req;
+  normalized.pipeline.objective = core::ObjectiveModel::kNormalizedSymmetric;
+  EXPECT_EQ(digest(normalized), "7cb9bdf24ff0c0d41bbd22f48531e462");
+}
+
 TEST(Cache, SolverBackendsLiveInDisjointKeyDomains) {
   // The eigensolver backend changes the numerical content of the basis,
   // so scalar- and block-produced embeddings must never alias: a cache
