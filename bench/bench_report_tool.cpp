@@ -24,7 +24,6 @@
 #include "core/reduction.h"
 #include "graph/generator.h"
 #include "graph/laplacian.h"
-#include "linalg/block_lanczos.h"
 #include "linalg/dense.h"
 #include "linalg/lanczos.h"
 #include "model/assembly.h"
@@ -121,14 +120,14 @@ int main(int argc, char** argv) {
                "parallel thread count (0 = min(8, 2 x hardware cores))");
   cli.add_flag("smoke", "false",
                "CI sanity mode: run only the eigensolver rows at reduced "
-               "size, then fail unless every counter field (converged "
-               "pairs, flops_per_pair, bytes_per_pair) is present and "
-               "nonzero in the written JSON, the multilevel row "
-               "reports a live hierarchy (levels, coarsening_ratio, "
-               "per_level), the cache_disk_warm row served the tier-2 "
-               "read bit-identically and faster than the cold compute, and "
-               "the sweep_cut row's normalized-objective conductance beat "
-               "the FM split's");
+               "size, then fail unless the lanczos and multilevel rows "
+               "carry every counter field (converged pairs, "
+               "flops_per_pair, bytes_per_pair), all nonzero, the "
+               "multilevel row reports a live hierarchy (levels, "
+               "coarsening_ratio, per_level), the cache_disk_warm row "
+               "served the tier-2 read bit-identically and faster than the "
+               "cold compute, and the sweep_cut row's normalized-objective "
+               "conductance beat the FM split's");
   try {
     if (!cli.parse(argc, argv)) return 0;
     const bool smoke = cli.get_bool("smoke");
@@ -177,11 +176,9 @@ int main(int argc, char** argv) {
       const std::size_t n = scaled(2000);
       const linalg::SymCsrMatrix q = graph::build_laplacian(model::clique_expand(
           make_netlist(n), model::NetModel::kPartitioningSpecific));
-      const std::string inst = "n=" + std::to_string(n) + " d=10";
-
       linalg::LanczosOptions opts;
       opts.num_eigenpairs = 10;
-      KernelResult r{"lanczos", inst};
+      KernelResult r{"lanczos", "n=" + std::to_string(n) + " d=10"};
       attach_counters(r, linalg::lanczos_smallest(q, opts));
       opts.parallel = serial;
       r.serial_seconds = time_median([&] { linalg::lanczos_smallest(q, opts); });
@@ -189,22 +186,6 @@ int main(int argc, char** argv) {
       r.parallel_seconds =
           time_median([&] { linalg::lanczos_smallest(q, opts); });
       results.push_back(r);
-
-      // Same matrix, same 10 pairs, through the block-Krylov backend: the
-      // bytes_per_pair column against the row above is the headline number
-      // (one spmm sweep advances every direction, so the block path should
-      // stream the Laplacian >= 2x fewer times per converged pair).
-      linalg::BlockLanczosOptions bopts;
-      bopts.num_eigenpairs = 10;
-      KernelResult rb{"block_lanczos", inst};
-      attach_counters(rb, linalg::block_lanczos_smallest(q, bopts));
-      bopts.parallel = serial;
-      rb.serial_seconds =
-          time_median([&] { linalg::block_lanczos_smallest(q, bopts); });
-      bopts.parallel = par;
-      rb.parallel_seconds =
-          time_median([&] { linalg::block_lanczos_smallest(q, bopts); });
-      results.push_back(rb);
     }
 
     {
@@ -282,9 +263,10 @@ int main(int argc, char** argv) {
       });
       results.push_back(r);
 
-      // The fused sparse x dense-panel kernel the block solver runs on:
-      // one sweep advances a 10-wide panel, so compare against 10 spmv
-      // sweeps (same reps) for the per-column bandwidth amortization.
+      // The fused sparse x dense-panel kernel the V-cycle's refinement
+      // sweeps run on: one sweep advances a 10-wide panel, so compare
+      // against 10 spmv sweeps (same reps) for the per-column bandwidth
+      // amortization.
       linalg::Panel px(q.size(), 10);
       for (std::size_t row = 0; row < q.size(); ++row)
         for (std::size_t c = 0; c < 10; ++c) px.at(row, c) = 1.0;
@@ -569,10 +551,20 @@ int main(int argc, char** argv) {
       // CI gate: the eigensolver rows must carry live counters. A zero
       // here means the solver stopped reporting its algorithmic cost and
       // the committed baseline would silently rot.
-      std::size_t counter_rows = 0;
+      for (const char* name : {"lanczos", "multilevel"}) {
+        if (std::none_of(results.begin(), results.end(),
+                         [name](const KernelResult& r) {
+                           return r.name == name && r.has_counters;
+                         })) {
+          std::fprintf(stderr,
+                       "bench_report_tool: --smoke: eigensolver row %s "
+                       "missing or without counter fields\n",
+                       name);
+          return 1;
+        }
+      }
       for (const KernelResult& r : results) {
         if (!r.has_counters) continue;
-        ++counter_rows;
         if (r.pairs == 0 || r.flops_per_pair == 0 || r.bytes_per_pair == 0) {
           std::fprintf(stderr,
                        "bench_report_tool: --smoke: kernel %s has a zero "
@@ -584,13 +576,6 @@ int main(int argc, char** argv) {
                        static_cast<unsigned long long>(r.bytes_per_pair));
           return 1;
         }
-      }
-      if (counter_rows < 3) {
-        std::fprintf(stderr,
-                     "bench_report_tool: --smoke: expected counter fields on "
-                     "all three eigensolver rows, found %zu row(s)\n",
-                     counter_rows);
-        return 1;
       }
       // The multilevel row must additionally carry a live hierarchy: a
       // missing row or a degenerate ratio means the V-cycle silently
@@ -645,11 +630,11 @@ int main(int argc, char** argv) {
                      "degenerate\n");
         return 1;
       }
-      std::printf("smoke: counter fields present and nonzero on %zu rows, "
-                  "multilevel hierarchy live (%s), tier-2 disk-warm read "
-                  "bit-identical and faster than cold, sweep-cut phi beat "
-                  "the FM split\n",
-                  counter_rows, "levels/coarsening_ratio/per_level");
+      std::printf("smoke: counter fields present and nonzero on the "
+                  "lanczos and multilevel rows, multilevel hierarchy live "
+                  "(levels/coarsening_ratio/per_level), tier-2 disk-warm "
+                  "read bit-identical and faster than cold, sweep-cut phi "
+                  "beat the FM split\n");
     }
     return 0;
   } catch (const Error& e) {

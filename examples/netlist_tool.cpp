@@ -46,8 +46,6 @@ int main(int argc, char** argv) {
   cli.add_flag("threads", "1",
                "compute-kernel threads (1 = serial reference, 0 = auto: "
                "$SPECPART_THREADS or hardware concurrency)");
-  cli.add_flag("solver", "scalar",
-               "eigensolver backend for melo: " + core::solver_backend_tokens());
   cli.add_flag("objective", "unnormalized",
                "spectral objective for melo: " + core::objective_model_tokens() +
                    " (normalized = conductance sweep cut)");
@@ -96,8 +94,6 @@ int main(int argc, char** argv) {
         req.pipeline.num_eigenvectors =
             static_cast<std::size_t>(cli.get_int("d"));
         req.pipeline.num_starts = 3;
-        req.pipeline.solver.backend =
-            core::parse_solver_backend(cli.get("solver"));
         req.pipeline.objective =
             core::parse_objective_model(cli.get("objective"));
         if (cli.get_bool("multilevel"))
@@ -165,7 +161,6 @@ int main(int argc, char** argv) {
       req.pipeline.num_eigenvectors =
           static_cast<std::size_t>(cli.get_int("d"));
       req.pipeline.num_starts = 3;
-      req.pipeline.solver.backend = core::parse_solver_backend(cli.get("solver"));
       req.pipeline.objective = core::parse_objective_model(cli.get("objective"));
       if (cli.get_bool("multilevel"))
         req.pipeline.solver.strategy = core::SolverStrategy::kMultilevel;
@@ -190,7 +185,6 @@ int main(int argc, char** argv) {
       core::MeloOptions m;
       m.num_eigenvectors = static_cast<std::size_t>(cli.get_int("d"));
       m.num_starts = 3;
-      m.solver.backend = core::parse_solver_backend(cli.get("solver"));
       m.objective = core::parse_objective_model(cli.get("objective"));
       if (cli.get_bool("multilevel"))
         m.solver.strategy = core::SolverStrategy::kMultilevel;

@@ -62,11 +62,10 @@ std::string response_wire(const service::PartitionResponse& resp) {
 
 /// Deterministic mixed workload: `count` requests over a small pool of
 /// synthetic netlists with varied pipeline settings. All requests use the
-/// one eigensolver backend given by `solver` ("scalar" keeps every wire
-/// byte identical to the pre-solver-field protocol).
+/// one solve strategy and objective given.
 std::vector<service::PartitionRequest> make_workload(
-    std::size_t count, std::uint64_t seed, core::SolverBackend solver,
-    core::SolverStrategy strategy, core::ObjectiveModel objective) {
+    std::size_t count, std::uint64_t seed, core::SolverStrategy strategy,
+    core::ObjectiveModel objective) {
   std::vector<graph::Hypergraph> pool;
   for (std::size_t i = 0; i < 5; ++i) {
     graph::GeneratorConfig cfg;
@@ -98,7 +97,6 @@ std::vector<service::PartitionRequest> make_workload(
     req.balance = balances[rng.next_below(3)];
     req.pipeline.num_eigenvectors = dims[rng.next_below(4)];
     req.pipeline.scaling = scalings[rng.next_below(2)];
-    req.pipeline.solver.backend = solver;
     req.pipeline.solver.strategy = strategy;
     req.pipeline.objective = objective;
     reqs.push_back(std::move(req));
@@ -348,9 +346,6 @@ int main(int argc, char** argv) {
   cli.add_flag("connect", "",
                "host:port of a running specpart_server (empty = in-process)");
   cli.add_flag("window", "16", "TCP mode: pipelining window");
-  cli.add_flag("solver", "scalar",
-               "eigensolver backend for every request: " +
-                   core::solver_backend_tokens());
   cli.add_flag("solver-strategy", "flat",
                "eigensolve orchestration for every request: " +
                    core::solver_strategy_tokens() +
@@ -389,7 +384,6 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(cli.get_int("requests"));
     const std::vector<service::PartitionRequest> reqs = make_workload(
         count, static_cast<std::uint64_t>(cli.get_int("seed")),
-        core::parse_solver_backend(cli.get("solver")),
         core::parse_solver_strategy(cli.get("solver-strategy")),
         core::parse_objective_model(cli.get("objective")));
 

@@ -62,7 +62,6 @@ constexpr TokenEntry<SelectionRule> kSelectionRuleTable[] = {
 
 constexpr TokenEntry<SolverBackend> kSolverBackendTable[] = {
     {"scalar", SolverBackend::kScalar},
-    {"block", SolverBackend::kBlock},
 };
 
 constexpr TokenEntry<SolverStrategy> kSolverStrategyTable[] = {

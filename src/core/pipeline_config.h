@@ -64,8 +64,8 @@ struct PipelineConfig {
   /// Diversified orderings: run r uses the (r+1)-th longest vector as the
   /// seed vertex; the best split across runs wins.
   std::size_t num_starts = 1;
-  /// Eigensolve configuration: backend (scalar | block), strategy
-  /// (flat | multilevel), dense threshold / fallback limit.
+  /// Eigensolve configuration: strategy (flat | multilevel), dense
+  /// threshold / fallback limit.
   SolverOptions solver;
   /// Which symmetric operator the spectral pipeline optimizes
   /// (linalg/objective.h): the paper's unnormalized min-cut Laplacian
@@ -114,7 +114,7 @@ SolverBackend parse_solver_backend(std::string_view token);
 SolverStrategy parse_solver_strategy(std::string_view token);
 ObjectiveModel parse_objective_model(std::string_view token);
 
-/// Accepted spellings of each enum knob, " | "-joined ("scalar | block"),
+/// Accepted spellings of each enum knob, " | "-joined ("flat | multilevel"),
 /// generated from the same token tables the parse_* functions read — the
 /// single source of truth the CLI binaries' --help text and the parse
 /// error messages both quote, so they cannot drift.

@@ -42,7 +42,7 @@ Vec sub(const Vec& a, const Vec& b);
 Vec add(const Vec& a, const Vec& b);
 
 /// Contiguous row-major n x b panel: the multi-vector operand of the
-/// blocked sparse kernels (SymCsrMatrix::spmm, block Lanczos).
+/// blocked sparse kernels (SymCsrMatrix::spmm, the V-cycle's refinement).
 ///
 /// Row-major is the SIMD-friendly layout for sparse x dense-panel products:
 /// the inner update y[i][:] += a_ij * x[j][:] streams one contiguous b-wide

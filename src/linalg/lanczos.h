@@ -76,15 +76,16 @@ struct LanczosResult {
   /// True when the iteration stopped because the compute budget ran out.
   bool budget_exhausted = false;
   /// Operator applications, counted in single-column (matvec) equivalents:
-  /// one per iteration for the scalar chain, the block width per SpMM for
-  /// the block driver.
+  /// one per iteration for Lanczos, the panel width per SpMM for the
+  /// V-cycle's refinement sweeps.
   std::size_t operator_applies = 0;
   /// Leading-order floating-point operations spent (operator applies plus
   /// orthogonalization); per-eigenpair cost = flops / num_converged.
   std::uint64_t flops = 0;
-  /// Matrix CSR bytes streamed (SymCsrMatrix::stream_bytes per sweep). The
-  /// headline block-vs-scalar metric: a d-pair scalar solve sweeps the
-  /// matrix once per iteration, the block solver once per block step.
+  /// Matrix CSR bytes streamed (SymCsrMatrix::stream_bytes per sweep):
+  /// Lanczos sweeps the matrix once per iteration, so this is
+  /// operator_applies * stream_bytes(); a V-cycle SpMM sweeps it once for
+  /// a whole panel.
   std::uint64_t matrix_bytes_moved = 0;
 };
 

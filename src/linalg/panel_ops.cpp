@@ -71,35 +71,6 @@ DenseMatrix panel_dots(const Panel& p, const Panel& w,
   return c;
 }
 
-void panel_subtract(Panel& w, const Panel& p, const DenseMatrix& c,
-                    const ParallelConfig& par) {
-  const std::size_t pc = p.cols(), wc = w.cols();
-  SP_ASSERT(c.rows() == pc && c.cols() == wc);
-  parallel_for(par, 0, w.rows(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t r = lo; r < hi; ++r) {
-      const double* pr = p.row(r);
-      double* wr = w.row(r);
-      for (std::size_t a = 0; a < pc; ++a) {
-        const double pa = pr[a];
-        if (pa == 0.0) continue;
-        for (std::size_t col = 0; col < wc; ++col)
-          wr[col] -= pa * c.at(a, col);
-      }
-    }
-  });
-}
-
-void panel_reorthogonalize(const std::vector<Panel>& blocks, Panel& w,
-                           const ParallelConfig& par, std::uint64_t& flops) {
-  for (int sweep = 0; sweep < 2; ++sweep) {
-    for (const Panel& p : blocks) {
-      const DenseMatrix c = panel_dots(p, w, par);
-      panel_subtract(w, p, c, par);
-      flops += 4ull * w.rows() * p.cols() * w.cols();
-    }
-  }
-}
-
 std::size_t panel_qr_cgs2(Panel& x, double breakdown_tol,
                           const ParallelConfig& par, Rng& rng,
                           std::uint64_t& flops) {

@@ -2,7 +2,6 @@
 #define SPECPART_LINALG_PANEL_OPS_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "linalg/dense.h"
 #include "util/parallel.h"
@@ -10,11 +9,11 @@
 
 namespace specpart::linalg {
 
-// Deterministic panel kernels shared by the block-Lanczos driver and the
-// multilevel V-cycle refinement. Every floating-point reduction goes
-// through the fixed-block primitives of util/parallel.h, whose block
-// structure depends only on n and the grain — never on the thread count —
-// so 1, 2 and 8 threads produce the same bits.
+// Deterministic panel kernels of the multilevel V-cycle refinement
+// (multilevel/vcycle.cpp). Every floating-point reduction goes through the
+// fixed-block primitives of util/parallel.h, whose block structure depends
+// only on n and the grain — never on the thread count — so 1, 2 and 8
+// threads produce the same bits.
 
 /// dot of column `ca` of `p` with column `cb` of `q` (strided rows).
 double panel_col_dot(const Panel& p, std::size_t ca, const Panel& q,
@@ -32,16 +31,6 @@ void panel_col_scale(Panel& p, std::size_t c, double alpha,
 /// order — the panel generalization of the scalar solver's CGS2 panel dot.
 DenseMatrix panel_dots(const Panel& p, const Panel& w,
                        const ParallelConfig& par);
-
-/// W -= P C over disjoint row blocks (exact per element).
-void panel_subtract(Panel& w, const Panel& p, const DenseMatrix& c,
-                    const ParallelConfig& par);
-
-/// Two CGS sweeps of every column of `w` against all of `blocks` — the
-/// block orthogonalizer (same CGS2 scheme as the scalar solver's parallel
-/// reorthogonalization, lifted from one vector to a panel).
-void panel_reorthogonalize(const std::vector<Panel>& blocks, Panel& w,
-                           const ParallelConfig& par, std::uint64_t& flops);
 
 /// In-place CGS2 QR of all columns of `x`. A column whose norm falls below
 /// `breakdown_tol` is refilled with a fresh random direction from `rng`,

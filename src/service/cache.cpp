@@ -97,17 +97,16 @@ Fingerprint EmbeddingCache::netlist_key(const graph::Hypergraph& h,
     hs.mix_double(h.net_weight(e));
   }
   // Solver configuration: anything that can change the returned bits. The
-  // backend token keeps scalar- and block-solved bases in disjoint cache
-  // domains — a scalar-warmed cache must miss under solver=block. Each 0
-  // stands for a solver's automatic choice and keeps its slot, so existing
-  // keys, and the tier-2 files stored under them, stay valid.
+  // backend token ("scalar", the only one) and each 0 keep their slots —
+  // a 0 stands for a retired setting or a solver's automatic choice — so
+  // existing keys, and the tier-2 files stored under them, stay valid.
   hs.mix_bool(opts.skip_trivial);
   hs.mix_string(core::solver_backend_token(opts.solver.backend));
   hs.mix_size(opts.solver.dense_threshold);
   hs.mix_size(opts.solver.dense_fallback_limit);
   hs.mix_double(linalg::kSolverTolerance);
   hs.mix_size(0);  // Krylov cap
-  hs.mix_size(0);  // block width
+  hs.mix_size(0);  // retired block-width slot
   // Strategy + V-cycle constants: a flat-warmed cache must miss under
   // strategy=multilevel and vice versa.
   hs.mix_string(core::solver_strategy_token(opts.solver.strategy));

@@ -119,12 +119,8 @@ void write_request(const PartitionRequest& req, std::ostream& out) {
       << " lazy_rerank=" << p.lazy_rerank_interval
       << " net_model=" << core::net_model_token(p.net_model)
       << " starts=" << p.num_starts << " seed=" << p.seed;
-  // Emitted only for non-default backends: absent means scalar, which keeps
-  // the wire bytes of scalar requests identical to the pre-solver protocol.
-  if (p.solver.backend != core::SolverBackend::kScalar)
-    out << " solver=" << core::solver_backend_token(p.solver.backend);
-  // Same non-default-only contract for the orchestration strategy: absent
-  // means flat, so pre-multilevel recorded traffic replays byte-identical.
+  // Emitted only for the non-default strategy: absent means flat, so
+  // pre-multilevel recorded traffic replays byte-identical.
   if (p.solver.strategy != core::SolverStrategy::kFlat)
     out << " strategy=" << core::solver_strategy_token(p.solver.strategy);
   // And for the objective model: absent means unnormalized, so recorded
@@ -177,6 +173,8 @@ PartitionRequest parse_request(const std::string& header_line,
     } else if (key == "solver") {
       // solver=, strategy= and objective= may be absent (scalar, flat,
       // unnormalized), so traffic recorded before they existed still parses.
+      // scalar is the only backend: any other solver= token is a
+      // bad_request naming it.
       p.solver.backend = parse_enum_field(core::parse_solver_backend, value);
     } else if (key == "strategy") {
       p.solver.strategy =

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "graph/laplacian.h"
-#include "linalg/eigensolver.h"
+#include "linalg/lanczos.h"
 #include "linalg/symmetric_eigen.h"
 #include "multilevel/vcycle.h"
 #include "util/error.h"
@@ -20,15 +20,22 @@ void note_fallback(Diagnostics* diag, const std::string& message) {
   if (diag != nullptr) diag->fallback(kStage, message);
 }
 
-/// Runs one backend attempt and records its internal recoveries.
+/// Runs one flat Lanczos attempt and records its internal recoveries.
+/// `max_iterations` caps the Krylov columns (0 = Lanczos' automatic
+/// formula); the fallback chain reseeds and enlarges it per attempt.
 linalg::LanczosResult run_attempt(const linalg::SymCsrMatrix& q,
                                   const EmbeddingOptions& opts,
                                   std::size_t want, std::uint64_t seed,
                                   std::size_t max_iterations,
                                   ComputeBudget* budget, Diagnostics* diag) {
-  linalg::LanczosResult result =
-      linalg::solve_smallest(q, opts.solver.backend, want, seed,
-                             max_iterations, opts.parallel, budget);
+  linalg::LanczosOptions lopts;
+  lopts.num_eigenpairs = want;
+  lopts.max_iterations = max_iterations;
+  lopts.tolerance = linalg::kSolverTolerance;
+  lopts.seed = seed;
+  lopts.budget = budget;
+  lopts.parallel = opts.parallel;
+  linalg::LanczosResult result = linalg::lanczos_smallest(q, lopts);
   if (result.breakdown_restarts > 0)
     note_fallback(diag,
                   strprintf("Lanczos breakdown: %zu invariant-subspace "
@@ -65,7 +72,7 @@ EigenBasis eigenbasis_of_laplacian(const linalg::SymCsrMatrix& q,
     num_converged = values.size();
   } else {
     std::uint64_t seed = opts.seed;
-    std::size_t max_iterations = 0;  // the solvers' automatic Krylov cap
+    std::size_t max_iterations = 0;  // Lanczos' automatic Krylov cap
 
     linalg::LanczosResult result;
     bool have_result = false;

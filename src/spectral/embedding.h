@@ -31,8 +31,8 @@ struct EmbeddingOptions {
   /// Drop the trivial first pair and return the `count` pairs after it.
   bool skip_trivial = false;
   std::uint64_t seed = 0xABCDEFULL;
-  /// The one solver-configuration struct: backend (scalar | block),
-  /// strategy (flat | multilevel), dense threshold / fallback limit.
+  /// The one solver-configuration struct: strategy (flat | multilevel),
+  /// dense threshold / fallback limit.
   linalg::SolverOptions solver;
   /// Compute-kernel threading, forwarded to the iterative solvers (the
   /// dense oracle stays serial). See LanczosOptions::parallel.
@@ -73,8 +73,6 @@ struct EigenBasis {
   /// over every fallback attempt (0 for the dense path and cache hits).
   std::uint64_t solve_flops = 0;
   /// Laplacian CSR bytes streamed by the eigensolve, summed over attempts.
-  /// The block backend's headline win: ~b x fewer bytes per eigenpair than
-  /// the scalar chain.
   std::uint64_t solve_bytes_moved = 0;
 
   std::size_t dimension() const { return values.size(); }

@@ -132,6 +132,18 @@ TEST(Lanczos, LargerGraphConverges) {
   }
 }
 
+TEST(Lanczos, CountersTrackMatrixTraffic) {
+  // One matvec per iteration, each streaming the whole CSR matrix once.
+  const SymCsrMatrix q = random_laplacian(800, 2400, 13);
+  LanczosOptions opts;
+  opts.num_eigenpairs = 8;
+  const LanczosResult r = lanczos_smallest(q, opts);
+  ASSERT_TRUE(r.converged);
+  EXPECT_GT(r.operator_applies, 0u);
+  EXPECT_GT(r.flops, 0u);
+  EXPECT_EQ(r.matrix_bytes_moved, r.operator_applies * q.stream_bytes());
+}
+
 TEST(LanczosLargestOp, DiagonalOperator) {
   // B = diag(1..8): largest eigenpairs are 8, 7, 6.
   const std::size_t n = 8;

@@ -142,9 +142,6 @@ TEST(Cache, NetlistKeyGoldenValues) {
   };
   const core::PipelineConfig base;
   EXPECT_EQ(key(base), "c95f591f8c8b77a0715219f01d681329");
-  core::PipelineConfig block = base;
-  block.solver.backend = core::SolverBackend::kBlock;
-  EXPECT_EQ(key(block), "de1d52c9f324bde63caa1a5a7b46a2ef");
   core::PipelineConfig multilevel = base;
   multilevel.solver.strategy = core::SolverStrategy::kMultilevel;
   EXPECT_EQ(key(multilevel), "de83a664c6ee8612b7cb57a103a8f157");
@@ -161,7 +158,8 @@ TEST(Service, ColdResponseGoldenDigests) {
   // basis is served as if computed now, so any change to solver
   // arithmetic that moves these bytes must come with a deliberate update
   // of these values. The response carries the split, not the basis: the
-  // three unnormalized solves reach the same split, hence one digest.
+  // two unnormalized solves reach the same split, hence one digest
+  // (Cache.ColdBasisGoldenDigests pins the bases themselves).
   PartitionRequest req = make_request();
   req.graph = small_netlist(7, 700);
   const auto digest = [](const PartitionRequest& r) {
@@ -171,9 +169,6 @@ TEST(Service, ColdResponseGoldenDigests) {
     return h.digest().hex();
   };
   EXPECT_EQ(digest(req), "debec5f298c71ce1b01a9e2ddd05bd15");
-  PartitionRequest block = req;
-  block.pipeline.solver.backend = core::SolverBackend::kBlock;
-  EXPECT_EQ(digest(block), "debec5f298c71ce1b01a9e2ddd05bd15");
   PartitionRequest multilevel = req;
   multilevel.pipeline.solver.strategy = core::SolverStrategy::kMultilevel;
   EXPECT_EQ(digest(multilevel), "debec5f298c71ce1b01a9e2ddd05bd15");
@@ -182,30 +177,47 @@ TEST(Service, ColdResponseGoldenDigests) {
   EXPECT_EQ(digest(normalized), "7cb9bdf24ff0c0d41bbd22f48531e462");
 }
 
-TEST(Cache, SolverBackendsLiveInDisjointKeyDomains) {
-  // The eigensolver backend changes the numerical content of the basis,
-  // so scalar- and block-produced embeddings must never alias: a cache
-  // warmed by scalar requests has to miss when the same netlist arrives
-  // with solver=block.
-  const graph::Hypergraph h = small_netlist();
-  spectral::EmbeddingOptions e;
-  spectral::EmbeddingOptions blocked = e;
-  blocked.solver.backend = linalg::SolverBackend::kBlock;
-  EXPECT_NE(key_of(h, e), key_of(h, blocked));
+TEST(Cache, ColdBasisGoldenDigests) {
+  // Pinned digests of the cold eigenbasis, values and vectors bit for bit,
+  // of one fixed netlist above the dense threshold under each
+  // default-reachable solve: flat or multilevel, unnormalized or
+  // normalized. Flat Lanczos is pinned on the serial lane and on the
+  // threaded lane the service's automatic thread count runs (every count
+  // >= 2 gives the same bits); the V-cycle gives one set of bits at any
+  // thread count. The response digests above see only the split, so an
+  // arithmetic change that keeps the split passes them and fails here.
+  // Cached and stored bases are served as if computed now: a change that
+  // moves these values must come with a deliberate update of them.
+  const graph::Hypergraph h = small_netlist(7, 700);
+  const model::CliqueModel cm(h, model::NetModel::kPartitioningSpecific);
+  const auto digest = [&](const core::PipelineConfig& p, std::size_t threads) {
+    spectral::EmbeddingOptions e = p.embedding_options();
+    e.count = 9;
+    e.parallel = ParallelConfig::with_threads(threads);
+    const spectral::EigenBasis basis =
+        spectral::compute_eigenbasis(cm.operator_matrix(e.objective), e);
+    const linalg::DenseMatrix& v = basis.vectors;
+    Hasher hs;
+    hs.mix_span(basis.values);
+    hs.mix_size(v.rows());
+    hs.mix_span(std::vector<double>(v.data(), v.data() + v.rows() * v.cols()));
+    return hs.digest().hex();
+  };
+  core::PipelineConfig flat;
+  core::PipelineConfig multilevel;
+  multilevel.solver.strategy = core::SolverStrategy::kMultilevel;
+  core::PipelineConfig flat_normalized;
+  flat_normalized.objective = core::ObjectiveModel::kNormalizedSymmetric;
+  core::PipelineConfig multilevel_normalized = multilevel;
+  multilevel_normalized.objective = core::ObjectiveModel::kNormalizedSymmetric;
 
-  PartitionService svc;
-  PartitionRequest req = make_request();
-  const PartitionResponse scalar_resp = svc.execute(req);  // warms the cache
-  req.pipeline.solver.backend = core::SolverBackend::kBlock;
-  const PartitionResponse block_resp = svc.execute(req);
-  EXPECT_EQ(scalar_resp.status, "ok");
-  EXPECT_EQ(block_resp.status, "ok");
-
-  const EmbeddingCacheStats s = svc.cache_stats();
-  EXPECT_EQ(s.lookups, 2u);
-  EXPECT_EQ(s.hits, 0u);
-  EXPECT_EQ(s.misses, 2u);
-  EXPECT_EQ(s.entries, 2u);
+  EXPECT_EQ(digest(flat, 1), "89a72b877914c1c489a375deb2cd3482");
+  EXPECT_EQ(digest(flat, 2), "36f9f57c4f4cab5a2cd06b52fb36968f");
+  EXPECT_EQ(digest(multilevel, 1), "e9c6dc1eb31e04126db4ecc298298f12");
+  EXPECT_EQ(digest(flat_normalized, 1), "29c4c2e08322a853be5123ae23753f44");
+  EXPECT_EQ(digest(flat_normalized, 2), "8024a6ea72bccdd4d9317377d5d0fb9e");
+  EXPECT_EQ(digest(multilevel_normalized, 1),
+            "7df4b4181ce53917cb3d1532e7762221");
 }
 
 TEST(Cache, SolverStrategiesLiveInDisjointKeyDomains) {
@@ -585,9 +597,9 @@ TEST(Protocol, MalformedInputThrows) {
 }
 
 TEST(Protocol, SolverFieldDefaultsToScalarAndRoundTrips) {
-  // Scalar requests must serialize to the exact pre-solver-field bytes
-  // (absent field == scalar), so old clients and recorded wire traffic
-  // keep working; block requests carry the field and round-trip.
+  // Requests serialize to the exact pre-solver-field bytes (absent field ==
+  // scalar), so old clients and recorded wire traffic keep working; an
+  // explicit solver=scalar from such a client parses to the same default.
   PartitionRequest req = make_request();
   std::ostringstream scalar_wire;
   write_request(req, scalar_wire);
@@ -599,33 +611,37 @@ TEST(Protocol, SolverFieldDefaultsToScalarAndRoundTrips) {
   EXPECT_EQ(scalar_parsed->pipeline.solver.backend,
             core::SolverBackend::kScalar);
 
-  req.pipeline.solver.backend = core::SolverBackend::kBlock;
-  std::ostringstream first;
-  write_request(req, first);
-  EXPECT_NE(first.str().find(" solver=block"), std::string::npos);
-  std::istringstream in(first.str());
-  const std::optional<PartitionRequest> parsed = read_request(in);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->pipeline.solver.backend, core::SolverBackend::kBlock);
-  std::ostringstream second;
-  write_request(*parsed, second);
-  EXPECT_EQ(first.str(), second.str());
+  std::string explicit_wire = scalar_wire.str();
+  explicit_wire.insert(explicit_wire.find(" graph_lines="), " solver=scalar");
+  std::istringstream explicit_in(explicit_wire);
+  const std::optional<PartitionRequest> explicit_parsed =
+      read_request(explicit_in);
+  ASSERT_TRUE(explicit_parsed.has_value());
+  EXPECT_EQ(explicit_parsed->pipeline.solver.backend,
+            core::SolverBackend::kScalar);
+  std::ostringstream reserialized;
+  write_request(*explicit_parsed, reserialized);
+  EXPECT_EQ(reserialized.str(), scalar_wire.str());
 }
 
 TEST(Protocol, UnknownEnumTokenIsStructuredBadRequest) {
   // One rule for every enum field: a typo is a bad_request naming the
-  // token, whichever field carries it.
-  for (const std::string field : {"scaling", "selection", "net_model",
-                                  "solver", "strategy", "objective"}) {
-    std::istringstream bad("REQUEST id=x " + field +
-                           "=bogus graph_lines=0\nEND\n");
+  // token, whichever field carries it. solver=block names the retired
+  // block Lanczos backend; it gets the same answer.
+  const std::pair<std::string, std::string> cases[] = {
+      {"scaling", "bogus"},  {"selection", "bogus"}, {"net_model", "bogus"},
+      {"solver", "bogus"},   {"solver", "block"},    {"strategy", "bogus"},
+      {"objective", "bogus"}};
+  for (const auto& [field, token] : cases) {
+    std::istringstream bad("REQUEST id=x " + field + "=" + token +
+                           " graph_lines=0\nEND\n");
     try {
       read_request(bad);
-      ADD_FAILURE() << field << "=bogus must be rejected";
+      ADD_FAILURE() << field << "=" << token << " must be rejected";
     } catch (const Error& e) {
       const std::string msg = e.what();
       EXPECT_TRUE(starts_with(msg, "bad_request: ")) << field << ": " << msg;
-      EXPECT_NE(msg.find("bogus"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("'" + token + "'"), std::string::npos) << msg;
     }
   }
 }
