@@ -68,6 +68,9 @@ struct KernelResult {
   bool has_conductance = false;
   double sweep_phi = 0.0;
   double fm_phi = 0.0;
+  // The melo_exact row reports the exact scan's key evaluations (a full
+  // scan would do n (n - 1) / 2); 0 = not reported.
+  std::uint64_t key_evaluations = 0;
 };
 
 void attach_counters(KernelResult& r, const linalg::LanczosResult& solve) {
@@ -152,6 +155,9 @@ int main(int argc, char** argv) {
       const core::VectorInstance inst = make_vectors(h, 10);
       core::MeloOrderingOptions opts;
       KernelResult r{"melo_exact", "n=" + std::to_string(n) + " d=10"};
+      core::MeloOrderingStats stats;
+      core::melo_order_vectors(inst, opts, nullptr, &stats);
+      r.key_evaluations = stats.key_evaluations;
       opts.parallel = serial;
       r.serial_seconds =
           time_median([&] { core::melo_order_vectors(inst, opts); });
@@ -514,6 +520,9 @@ int main(int argc, char** argv) {
       if (r.has_conductance)
         std::fprintf(f, ", \"sweep_phi\": %.6f, \"fm_phi\": %.6f",
                      r.sweep_phi, r.fm_phi);
+      if (r.key_evaluations > 0)
+        std::fprintf(f, ", \"key_evaluations\": %llu",
+                     static_cast<unsigned long long>(r.key_evaluations));
       if (r.has_multilevel) {
         std::fprintf(f, ", \"levels\": %zu, \"coarsening_ratio\": %.2f",
                      r.levels, r.coarsening_ratio);
@@ -541,6 +550,9 @@ int main(int argc, char** argv) {
                     static_cast<double>(r.bytes_per_pair) / 1e6);
       if (r.has_conductance)
         std::printf("   phi sweep %.4f vs fm %.4f", r.sweep_phi, r.fm_phi);
+      if (r.key_evaluations > 0)
+        std::printf("   %llu key evaluations",
+                    static_cast<unsigned long long>(r.key_evaluations));
       std::printf("\n");
     }
     std::fprintf(f, "  ]\n}\n");

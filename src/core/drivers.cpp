@@ -125,6 +125,7 @@ std::vector<MeloOrderingRun> melo_orderings(const graph::Hypergraph& h,
 
   std::vector<char> scratch;
   std::vector<MeloOrderingRun> runs;
+  MeloOrderingStats ordering_stats;
   const std::size_t starts = std::max<std::size_t>(1, opts.num_starts);
   for (std::size_t start = 0; start < starts; ++start) {
     // Later starts are pure quality improvement: skip them (keeping the
@@ -163,7 +164,8 @@ std::vector<MeloOrderingRun> melo_orderings(const graph::Hypergraph& h,
     {
       StageTimerScope order_scope(diag, "ordering");
       run.ordering = melo_order_vectors(base_instance, oopts,
-                                        do_readjust ? &readjust : nullptr);
+                                        do_readjust ? &readjust : nullptr,
+                                        &ordering_stats);
     }
     run.ordering_seconds = order_timer.seconds();
     run.eigen_seconds = eigen_seconds;
@@ -171,6 +173,11 @@ std::vector<MeloOrderingRun> melo_orderings(const graph::Hypergraph& h,
     if (run.budget_exhausted && diag != nullptr)
       diag->mark_budget_exhausted("ordering");
     runs.push_back(std::move(run));
+  }
+  if (diag != nullptr && !opts.lazy_ranking) {
+    diag->add_counter("ordering", "key_evaluations",
+                      ordering_stats.key_evaluations);
+    diag->add_counter("ordering", "reranks", ordering_stats.reranks);
   }
 
   if (opts.objective == ObjectiveModel::kNormalizedSymmetric) {

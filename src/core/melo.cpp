@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "util/error.h"
+#include "util/stringutil.h"
 
 namespace specpart::core {
 
@@ -28,12 +29,16 @@ namespace {
 /// out across threads, large enough to amortize dispatch.
 constexpr std::size_t kScanGrain = 256;
 
+/// Largest accepted sum of vector norms (2^500): squares of it stay far
+/// below the double range.
+constexpr double kMaxNormTotal = 0x1p500;
+
 /// Greedy state: rows of the instance, running subset sum, and the scheme
 /// evaluation. Kept separate from the selection policy (exact vs lazy).
 ///
 /// Rows live in one contiguous row-major buffer (n x d doubles) instead of
-/// n separate heap vectors: the per-step scan walks it linearly, which is
-/// what lets the blocked parallel argmax run at memory bandwidth.
+/// n separate heap vectors: snapshots and re-ranks walk it linearly, at
+/// memory bandwidth.
 class MeloState {
  public:
   MeloState(const VectorInstance& inst, SelectionRule scheme)
@@ -58,11 +63,17 @@ class MeloState {
     sum_norm_sq_ = linalg::norm_sq(sum_);
   }
 
-  /// Selection-rule value of appending vertex v to the current subset.
-  double key(graph::NodeId v) const {
+  /// S.y_v: the one dot product every key is built on.
+  double dot(graph::NodeId v) const {
     const double* y = row(v);
     double s_dot_y = 0.0;
     for (std::size_t j = 0; j < d_; ++j) s_dot_y += sum_[j] * y[j];
+    return s_dot_y;
+  }
+
+  /// Selection-rule value of appending vertex v to the current subset.
+  double key(graph::NodeId v) const {
+    const double s_dot_y = dot(v);
     const double y_sq = norms_sq_[v];
     switch (scheme_) {
       case SelectionRule::kMagnitude:
@@ -88,6 +99,10 @@ class MeloState {
   }
 
   double row_norm_sq(graph::NodeId v) const { return norms_sq_[v]; }
+  SelectionRule scheme() const { return scheme_; }
+  std::size_t dimension() const { return d_; }
+  const linalg::Vec& sum() const { return sum_; }
+  double sum_norm_sq() const { return sum_norm_sq_; }
 
  private:
   const double* row(graph::NodeId v) const { return flat_.data() + v * d_; }
@@ -97,12 +112,26 @@ class MeloState {
     const double* data = inst.vectors.data();
     flat_.assign(data, data + n * d_);
     norms_sq_.resize(n);
+    double norm_total = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       const double* y = flat_.data() + i * d_;
       double s = 0.0;
       for (std::size_t j = 0; j < d_; ++j) s += y[j] * y[j];
+      // A non-finite row gives NaN or infinite keys; NaN never wins a `>`
+      // comparison and infinities tie, so the argmax stops meaning anything.
+      SP_CHECK_INPUT(std::isfinite(s),
+                     strprintf("MELO: vector %zu has a non-finite squared "
+                               "norm",
+                               i));
       norms_sq_[i] = s;
+      norm_total += std::sqrt(s);
     }
+    // Every key, subset sum and pruning bound is a small multiple of
+    // (sum of norms)^2 at most, so this keeps all of them finite.
+    SP_CHECK_INPUT(norm_total <= kMaxNormTotal,
+                   strprintf("MELO: vector norms sum to %g, above %g; the "
+                             "keys would overflow",
+                             norm_total, kMaxNormTotal));
   }
 
   SelectionRule scheme_;
@@ -129,11 +158,181 @@ graph::NodeId pick_start(const MeloState& state, std::size_t start_rank,
   return ids[rank];
 }
 
+/// The exact greedy step with certified pruning (ALGORITHMS.md §2). Every
+/// key is c_t + a_v (S_t . y_v) + b_v: magnitude a = 2, b = ||y||^2,
+/// c_t = ||S_t||^2; projection a = 1, b = c = 0; cosine a = 1/||y||,
+/// b = c = 0, with a zero row's key -inf. A snapshot at S_T stores
+/// g_v = S_T . y_v, and Cauchy-Schwarz gives, at any later step,
+///   key_t(v) <= c_t + a_v g_v + b_v + a_v ||y_v|| (||S_t - S_T|| + eps_t),
+/// where eps_t = gamma (||S_t|| + ||S_T||) covers the rounding of both dot
+/// products. The bound also carries a relative allowance for the final
+/// combine and absolute ones for underflow, so it holds for the key() bits
+/// themselves. A vertex is evaluated only when its bound is not below the
+/// best (key, smallest id) found so far, so the winner is the exact argmax
+/// with the same tie rule as a full scan.
+class PrunedScan {
+ public:
+  PrunedScan(const MeloState& state, const std::vector<char>& chosen,
+             const ParallelConfig& parallel)
+      : state_(state),
+        chosen_(chosen),
+        parallel_(parallel),
+        // 8 (d + 8) 2^-52: a generous multiple of the (d + O(1)) u
+        // rounding of each dot product, norm and combine.
+        gamma_(std::ldexp(8.0 * static_cast<double>(state.dimension() + 8),
+                          -52)),
+        // sqrt(d) 2^-537 bounds a norm whose squares all underflowed.
+        norm_floor_(std::ldexp(
+            std::sqrt(static_cast<double>(state.dimension())), -537)) {}
+
+  /// Re-ranks the unchosen vertices against the current subset sum.
+  void snapshot() {
+    ++stats.reranks;
+    snap_ = state_.sum();
+    snap_norm_ = std::sqrt(state_.sum_norm_sq());
+    entries_.clear();
+    for (graph::NodeId v = 0; v < chosen_.size(); ++v)
+      if (!chosen_[v]) entries_.push_back(Entry{0.0, 0.0, v, 0});
+    parallel_for(parallel_, 0, entries_.size(),
+                 [&](std::size_t lo, std::size_t hi) {
+                   for (std::size_t r = lo; r < hi; ++r) fill(entries_[r]);
+                 });
+    // Classes by the binade of w, largest first; inside a class the bound
+    // falls with the static part, so a walk can cut the whole tail.
+    std::sort(entries_.begin(), entries_.end(),
+              [](const Entry& x, const Entry& y) {
+                if (x.binade != y.binade) return x.binade > y.binade;
+                if (x.hi != y.hi) return x.hi > y.hi;
+                return x.v < y.v;
+              });
+    classes_.clear();
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      if (i == 0 || entries_[i].binade != entries_[i - 1].binade)
+        classes_.push_back(Class{i, i, 0.0});
+      classes_.back().end = i + 1;
+      classes_.back().w_max = std::max(classes_.back().w_max, entries_[i].w);
+    }
+  }
+
+  /// The unchosen vertex with the largest key, smallest id among ties.
+  graph::NodeId select() {
+    double best_key = -std::numeric_limits<double>::infinity();
+    graph::NodeId best = static_cast<graph::NodeId>(chosen_.size());
+    evaluated_ = 0;
+    auto consider = [&](graph::NodeId v) {
+      const double k = state_.key(v);
+      ++evaluated_;
+      if (k > best_key || (k == best_key && v < best)) {
+        best_key = k;
+        best = v;
+      }
+    };
+    const double c = state_.sum_norm_sq();
+    if (state_.scheme() != SelectionRule::kMagnitude && c <= 1e-300) {
+      // key() falls back to ||y||^2, which the bound does not describe.
+      for (graph::NodeId v = 0; v < chosen_.size(); ++v)
+        if (!chosen_[v]) consider(v);
+    } else {
+      const linalg::Vec& s = state_.sum();
+      double drift_sq = 0.0;
+      for (std::size_t j = 0; j < s.size(); ++j) {
+        const double t = s[j] - snap_[j];
+        drift_sq += t * t;
+      }
+      const double slack = std::sqrt(drift_sq) +
+                           gamma_ * (std::sqrt(c) + snap_norm_) +
+                           kUnderflowSlack;
+      const double base =
+          state_.scheme() == SelectionRule::kMagnitude ? c + gamma_ * c : 0.0;
+      for (Class& cl : classes_) {
+        while (cl.begin < cl.end && chosen_[entries_[cl.begin].v]) ++cl.begin;
+        if (cl.begin < cl.end) consider(entries_[cl.begin].v);
+      }
+      for (const Class& cl : classes_) {
+        const double class_slack = cl.w_max * slack;
+        for (std::size_t i = cl.begin + 1; i < cl.end; ++i) {
+          const Entry& e = entries_[i];
+          const double lead = base + e.hi;
+          if (lead + class_slack < best_key) break;
+          if (!chosen_[e.v] && !(lead + e.w * slack < best_key)) consider(e.v);
+        }
+      }
+    }
+    stats.key_evaluations += evaluated_;
+    return best;
+  }
+
+  /// Keys the last select() evaluated.
+  std::size_t evaluated() const { return evaluated_; }
+
+  MeloOrderingStats stats;
+
+ private:
+  /// One unchosen vertex: hi = a g + b plus its rounding allowance, w the
+  /// drift multiplier a (||y|| + norm floor).
+  struct Entry {
+    double hi;
+    double w;
+    graph::NodeId v;
+    int binade;
+  };
+  struct Class {
+    std::size_t begin;  // advances past entries chosen since the snapshot
+    std::size_t end;
+    double w_max;
+  };
+
+  /// Covers every underflow in the dot products and norms: far above
+  /// their d 2^-1074 absolute errors, far below any key worth comparing.
+  static constexpr double kUnderflowSlack = 0x1p-500;
+
+  void fill(Entry& e) const {
+    const double g = state_.dot(e.v);
+    const double y_sq = state_.row_norm_sq(e.v);
+    const double y_norm = std::sqrt(y_sq);
+    double a = 1.0;
+    double b = 0.0;
+    switch (state_.scheme()) {
+      case SelectionRule::kMagnitude:
+        a = 2.0;
+        b = y_sq;
+        break;
+      case SelectionRule::kProjection:
+        break;
+      case SelectionRule::kCosine:
+        if (y_norm <= 1e-300) {  // key() is -inf: evaluated only on a tie
+          e.hi = -std::numeric_limits<double>::infinity();
+          e.w = 0.0;
+          e.binade = std::numeric_limits<int>::min();
+          return;
+        }
+        a = 1.0 / y_norm;
+        break;
+    }
+    const double ag = a * g;
+    e.hi = (ag + b) + gamma_ * (std::abs(ag) + b);
+    e.w = a * (y_norm + norm_floor_);
+    e.binade = std::ilogb(e.w);
+  }
+
+  const MeloState& state_;
+  const std::vector<char>& chosen_;
+  ParallelConfig parallel_;
+  double gamma_;
+  double norm_floor_;
+  linalg::Vec snap_;
+  double snap_norm_ = 0.0;
+  std::vector<Entry> entries_;
+  std::vector<Class> classes_;
+  std::size_t evaluated_ = 0;
+};
+
 }  // namespace
 
 part::Ordering melo_order_vectors(const VectorInstance& inst,
                                   const MeloOrderingOptions& opts,
-                                  const MeloReadjust* readjust) {
+                                  const MeloReadjust* readjust,
+                                  MeloOrderingStats* stats) {
   const std::size_t n = inst.size();
   SP_CHECK_INPUT(n >= 1, "MELO: empty instance");
   MeloState state(inst, opts.selection);
@@ -173,23 +372,28 @@ part::Ordering melo_order_vectors(const VectorInstance& inst,
   take(pick_start(state, opts.start_rank, n));
 
   if (!opts.lazy_ranking) {
-    // Exact O(d n^2 / p): every unchosen vector is evaluated each step by a
-    // blocked argmax. The (key, smallest-id) combine reproduces the serial
-    // ascending scan exactly, so the ordering does not depend on the
-    // thread count.
+    // Exact argmax each step, evaluating only keys whose certified bound
+    // can still win. The walk is serial and the snapshot's dots are
+    // independent, so the ordering does not depend on the thread count.
+    PrunedScan exact(state, chosen, scan);
+    exact.snapshot();
     while (order.size() < n) {
       if (!budget_charge(opts.budget)) {
         complete_cheaply();
         break;
       }
-      const std::size_t best = parallel_argmax(
-          scan, n,
-          [&](std::size_t v) {
-            return state.key(static_cast<graph::NodeId>(v));
-          },
-          [&](std::size_t v) { return chosen[v] == 0; });
+      const std::size_t remaining = n - order.size();
+      const graph::NodeId best = exact.select();
       SP_ASSERT(best < n);
-      take(static_cast<graph::NodeId>(best));
+      // An H-readjust reload moves every coordinate; a step that had to
+      // evaluate more than 1/8 of the candidates has a stale snapshot.
+      if (take(best) ||
+          (order.size() < n && 8 * exact.evaluated() > remaining))
+        exact.snapshot();
+    }
+    if (stats != nullptr) {
+      stats->key_evaluations += exact.stats.key_evaluations;
+      stats->reranks += exact.stats.reranks;
     }
     return order;
   }

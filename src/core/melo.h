@@ -18,7 +18,11 @@
 // e.g. dividing by |S|+1 or by ||S|| — do not change the argmax and are
 // deliberately not separate rules.)
 //
-// Complexity O(d n^2) exactly; the lazy-ranking mode implements the paper's
+// The exact greedy is O(d n^2) in the worst case, but it evaluates a key
+// only where a certified upper bound from the last snapshot says it could
+// still win (ALGORITHMS.md §2): the orderings are those of a full scan,
+// bit for bit, at a few percent of its key evaluations on typical
+// instances. The lazy-ranking mode implements the paper's heuristic
 // speedup ("the remaining vectors are re-ranked periodically (e.g., every
 // 100 iterations)"): only a small moving window T of top-ranked candidates
 // is evaluated exactly each step, and the full ranking is refreshed every
@@ -45,7 +49,7 @@ const char* selection_rule_name(SelectionRule s);
 
 struct MeloOrderingOptions {
   SelectionRule selection = SelectionRule::kMagnitude;
-  /// Use the lazy-ranking speedup instead of the exact O(d n^2) scan.
+  /// Use the lazy-ranking speedup instead of the exact scan.
   bool lazy_ranking = false;
   /// Initial size of the candidate window T (grows by 1 per selection).
   std::size_t lazy_window = 32;
@@ -59,11 +63,19 @@ struct MeloOrderingOptions {
   /// deterministic order so the result is still a full permutation — a
   /// valid, best-effort ordering rather than an aborted one.
   ComputeBudget* budget = nullptr;
-  /// Compute-kernel threading (see util/parallel.h). The per-step argmax
-  /// over unchosen vertices is evaluated in fixed blocks with a
-  /// (key, smallest-id) combine, so the ordering is bit-identical for
-  /// every thread count — including the serial default.
+  /// Compute-kernel threading (see util/parallel.h). The exact scan's
+  /// snapshot dots and the lazy path's re-rank and window argmax run in
+  /// fixed blocks; the exact scan's walk is serial. Orderings are
+  /// bit-identical for every thread count — including the serial default.
   ParallelConfig parallel;
+};
+
+/// Work counters of the exact scan (the lazy path leaves them alone).
+struct MeloOrderingStats {
+  /// key() evaluations; a full scan would do n (n - 1) / 2.
+  std::uint64_t key_evaluations = 0;
+  /// Snapshots, each one dot product per unchosen vertex plus a sort.
+  std::uint64_t reranks = 0;
 };
 
 /// Optional mid-construction coordinate readjustment (the paper's
@@ -76,9 +88,12 @@ struct MeloReadjust {
 };
 
 /// Runs the MELO greedy over an explicit vector instance and returns the
-/// selection order (a permutation of 0..n-1).
+/// selection order (a permutation of 0..n-1). Throws specpart::Error when
+/// a vector's squared norm is not finite or the norms sum above 2^500.
+/// When `stats` is set, the exact scan's counters are added to it.
 part::Ordering melo_order_vectors(const VectorInstance& inst,
                                   const MeloOrderingOptions& opts,
-                                  const MeloReadjust* readjust = nullptr);
+                                  const MeloReadjust* readjust = nullptr,
+                                  MeloOrderingStats* stats = nullptr);
 
 }  // namespace specpart::core

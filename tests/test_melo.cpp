@@ -1,16 +1,25 @@
 // Tests for the MELO greedy ordering and its end-to-end drivers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
+#include <optional>
 #include <set>
+#include <string>
 
 #include "core/drivers.h"
 #include "core/melo.h"
 #include "core/reduction.h"
 #include "graph/generator.h"
 #include "part/objectives.h"
+#include "spectral/embedding.h"
 #include "spectral/sb.h"
+#include "util/budget.h"
 #include "util/error.h"
+#include "util/hashing.h"
+#include "util/rng.h"
 
 namespace specpart::core {
 namespace {
@@ -35,6 +44,286 @@ graph::Hypergraph planted(std::size_t modules, std::size_t clusters,
   cfg.p_cluster = 0.2;
   cfg.seed = seed;
   return graph::generate_netlist(cfg);
+}
+
+/// The plain exact scan, kept as the oracle for the library's pruned one:
+/// every unchosen key is evaluated at every step, with the library's key
+/// expression and order of operations, and an ascending scan that replaces
+/// only on a strictly larger key gives the smallest id among ties.
+part::Ordering plain_scan_order(const VectorInstance& inst,
+                                const MeloOrderingOptions& opts,
+                                const MeloReadjust* readjust) {
+  const std::size_t n = inst.size();
+  const std::size_t d = inst.dimension();
+  std::vector<double> rows;
+  std::vector<double> norms_sq(n);
+  const auto load = [&](const VectorInstance& in) {
+    rows.assign(in.vectors.data(), in.vectors.data() + n * d);
+    for (std::size_t i = 0; i < n; ++i) {
+      double s = 0.0;
+      for (std::size_t j = 0; j < d; ++j)
+        s += rows[i * d + j] * rows[i * d + j];
+      norms_sq[i] = s;
+    }
+  };
+  linalg::Vec sum(d, 0.0);
+  double sum_norm_sq = 0.0;
+  const auto key = [&](std::size_t v) {
+    const double* y = rows.data() + v * d;
+    double s_dot_y = 0.0;
+    for (std::size_t j = 0; j < d; ++j) s_dot_y += sum[j] * y[j];
+    const double y_sq = norms_sq[v];
+    switch (opts.selection) {
+      case SelectionRule::kMagnitude:
+        return sum_norm_sq + 2.0 * s_dot_y + y_sq;
+      case SelectionRule::kProjection:
+        return sum_norm_sq <= 1e-300 ? y_sq : s_dot_y;
+      case SelectionRule::kCosine: {
+        if (sum_norm_sq <= 1e-300) return y_sq;
+        const double y_norm = std::sqrt(y_sq);
+        if (y_norm <= 1e-300) return -std::numeric_limits<double>::infinity();
+        return s_dot_y / y_norm;
+      }
+    }
+    return 0.0;
+  };
+
+  load(inst);
+  std::vector<char> chosen(n, 0);
+  part::Ordering order;
+  const auto take = [&](graph::NodeId v) {
+    chosen[v] = 1;
+    for (std::size_t j = 0; j < d; ++j) sum[j] += rows[v * d + j];
+    sum_norm_sq = linalg::norm_sq(sum);
+    order.push_back(v);
+    if (readjust != nullptr && readjust->at != 0 &&
+        order.size() == readjust->at && order.size() < n) {
+      load(readjust->rebuild(order));
+      sum.assign(d, 0.0);
+      for (graph::NodeId u : order)
+        for (std::size_t j = 0; j < d; ++j) sum[j] += rows[u * d + j];
+      sum_norm_sq = linalg::norm_sq(sum);
+    }
+  };
+  // (start_rank+1)-th longest vector, ties by id.
+  std::vector<graph::NodeId> ids(n);
+  std::iota(ids.begin(), ids.end(), 0u);
+  std::stable_sort(ids.begin(), ids.end(), [&](graph::NodeId a, graph::NodeId b) {
+    return norms_sq[a] > norms_sq[b];
+  });
+  take(ids[std::min(opts.start_rank, n - 1)]);
+  while (order.size() < n) {
+    if (!budget_charge(opts.budget)) {
+      for (graph::NodeId v = 0; v < n; ++v)
+        if (!chosen[v]) order.push_back(v);
+      break;
+    }
+    graph::NodeId best = static_cast<graph::NodeId>(n);
+    double best_key = 0.0;
+    for (graph::NodeId v = 0; v < n; ++v) {
+      if (chosen[v]) continue;
+      const double k = key(v);
+      if (best == n || k > best_key) {
+        best = v;
+        best_key = k;
+      }
+    }
+    take(best);
+  }
+  return order;
+}
+
+/// Random rows of one of four shapes: Gaussian; small integers (exact key
+/// ties); copies of a few rows plus zero rows; Gaussian directions with
+/// norms spread over four decades.
+VectorInstance random_rows(Rng& rng, std::size_t n, std::size_t d,
+                           int shape) {
+  VectorInstance inst;
+  inst.vectors = linalg::DenseMatrix(n, d);
+  const std::size_t pool = 1 + rng.next_below(6);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double scale = std::pow(10.0, 4.0 * rng.next_double() - 2.0);
+    const bool zero = shape == 2 && rng.next_bool(0.15);
+    const std::size_t source = rng.next_below(pool);
+    for (std::size_t j = 0; j < d; ++j) {
+      double x = 0.0;
+      switch (shape) {
+        case 0:
+          x = rng.next_normal();
+          break;
+        case 1:
+          x = static_cast<double>(rng.next_in(-2, 2));
+          break;
+        case 2:
+          x = zero ? 0.0 : std::cos(static_cast<double>(source * 7 + j));
+          break;
+        default:
+          x = scale * rng.next_normal();
+          break;
+      }
+      inst.vectors.at(i, j) = x;
+    }
+  }
+  return inst;
+}
+
+TEST(MeloOrder, PrunedScanMatchesPlainScan) {
+  // Differential check of the certified-pruning scan against the plain
+  // one: identical orderings on every instance, rule, start rank, readjust
+  // point, budget cut and thread count (0 = $SPECPART_THREADS, which the
+  // test_melo_mt lane pins to 8).
+  Rng rng(0x5EED);
+  std::size_t readjusts_fired = 0;
+  std::size_t budget_cuts = 0;
+  for (std::size_t c = 0; c < 241; ++c) {
+    const bool big = c % 8 == 0;
+    std::size_t n = c < 2 ? c + 1 : 1 + rng.next_below(big ? 1500 : 300);
+    std::size_t d = 1 + rng.next_below(16);
+    if (c == 240) n = d = 64;  // d = n
+    const int shape = static_cast<int>((c / 9) % 4);
+    const VectorInstance inst = random_rows(rng, n, d, shape);
+    MeloOrderingOptions opts;
+    opts.selection = static_cast<SelectionRule>(1 + c % 3);
+    opts.start_rank = (c / 3) % 3;
+
+    MeloReadjust readjust;
+    std::size_t rebuilds = 0;
+    if ((c / 36) % 2 == 1 && n >= 2) {
+      readjust.at = 1 + rng.next_below(n - 1);
+      readjust.rebuild = [&](const std::vector<graph::NodeId>& members) {
+        ++rebuilds;
+        VectorInstance out = inst;
+        for (std::size_t i = 0; i < n; ++i)
+          for (std::size_t j = 0; j < d; ++j)
+            out.vectors.at(i, j) *= 1.0 + 0.25 * static_cast<double>(
+                                              (j + members.size()) % 3);
+        return out;
+      };
+    }
+    const std::size_t budget_units =
+        c % 5 == 4 ? 1 + rng.next_below(n) : 0;
+    const auto run = [&](const ParallelConfig* parallel) {
+      MeloOrderingOptions o = opts;
+      ComputeBudget budget = ComputeBudget::with_max_iterations(budget_units);
+      if (budget_units > 0) o.budget = &budget;
+      const MeloReadjust* r = readjust.at != 0 ? &readjust : nullptr;
+      if (parallel == nullptr) return plain_scan_order(inst, o, r);
+      o.parallel = *parallel;
+      return melo_order_vectors(inst, o, r);
+    };
+    const part::Ordering expected = run(nullptr);
+    ASSERT_TRUE(part::is_permutation(expected, n));
+    readjusts_fired += rebuilds;
+    budget_cuts += budget_units > 0 && budget_units < n ? 1 : 0;
+    for (const std::size_t threads : {1, 2, 8, 0}) {
+      const ParallelConfig parallel = ParallelConfig::with_threads(threads);
+      ASSERT_EQ(run(&parallel), expected)
+          << "case " << c << ": n=" << n << " d=" << d << " shape=" << shape
+          << " rule=" << selection_rule_name(opts.selection)
+          << " start_rank=" << opts.start_rank << " readjust_at="
+          << readjust.at << " budget=" << budget_units
+          << " threads=" << threads;
+    }
+  }
+  EXPECT_GT(readjusts_fired, 20u);
+  EXPECT_GT(budget_cuts, 20u);
+}
+
+TEST(MeloOrder, RejectsNonFiniteRows) {
+  // A NaN row would win every step it is the lowest unchosen id of; an
+  // infinite one ties with everything. Both are structured input errors,
+  // also when they arrive through an H-readjust reload.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 1e200}) {
+    const VectorInstance inst = make_instance({{1, 0}, {0, bad}, {2, 1}});
+    EXPECT_THROW(melo_order_vectors(inst, MeloOrderingOptions{}), Error)
+        << bad;
+  }
+  const VectorInstance huge = make_instance({{3e150, 0}, {0, 3e150}, {1, 1}});
+  EXPECT_THROW(melo_order_vectors(huge, MeloOrderingOptions{}), Error);
+
+  const VectorInstance fine = make_instance({{1, 0}, {0, 1}, {2, 1}, {1, 1}});
+  MeloReadjust readjust;
+  readjust.at = 2;
+  readjust.rebuild = [&](const std::vector<graph::NodeId>&) {
+    VectorInstance out = fine;
+    out.vectors.at(3, 0) = std::numeric_limits<double>::quiet_NaN();
+    return out;
+  };
+  EXPECT_THROW(melo_order_vectors(fine, MeloOrderingOptions{}, &readjust),
+               Error);
+}
+
+TEST(MeloOrder, OrderingCountersRepeatAndStayFarBelowFullScan) {
+  const graph::Hypergraph h = planted(1000, 8, 37);
+  MeloOptions opts;
+  opts.num_starts = 2;
+  const auto counts = [&] {
+    Diagnostics diag;
+    MeloOptions o = opts;
+    o.diagnostics = &diag;
+    melo_orderings(h, o);
+    return std::make_pair(diag.counter("ordering", "key_evaluations"),
+                          diag.counter("ordering", "reranks"));
+  };
+  const auto first = counts();
+  EXPECT_EQ(counts(), first);
+  const std::uint64_t n = h.num_nodes();
+  const std::uint64_t full_scan = opts.num_starts * n * (n - 1) / 2;
+  EXPECT_GE(first.first, opts.num_starts * (n - 1));  // one key per step
+  EXPECT_LT(first.first, full_scan / 10);
+  EXPECT_GE(first.second, 2 * opts.num_starts);  // the start and the readjust
+}
+
+TEST(MeloOrder, GoldenOrderingDigests) {
+  // Pinned digests of full melo_orderings output (every start's ordering
+  // and its H values) on generated netlists under the multilevel solve,
+  // for both H-based scalings; n=5000 runs only d=6 (the cold_multilevel
+  // benchmark's d) to keep the sanitizer build fast. The values came from
+  // a build of the plain scan; the response golden tests see an ordering
+  // change only when it moves a split.
+  const auto digests = [](std::size_t n, std::size_t d) {
+    graph::GeneratorConfig cfg;
+    cfg.num_modules = n;
+    cfg.num_nets = n + n / 10;
+    cfg.seed = 0x0D16 + n;
+    const graph::Hypergraph h = graph::generate_netlist(cfg);
+    MeloOptions opts;
+    opts.num_eigenvectors = d;
+    opts.num_starts = 2;
+    opts.solver.strategy = SolverStrategy::kMultilevel;
+    // One solve serves both scalings.
+    std::optional<spectral::EigenBasis> basis;
+    opts.embedding_provider = [&](const model::CliqueModel& cm,
+                                  const spectral::EmbeddingOptions& e,
+                                  Diagnostics* diag, ComputeBudget* budget) {
+      if (!basis)
+        basis = spectral::compute_eigenbasis(
+            cm.operator_matrix(e.objective, diag), e, diag, budget);
+      return *basis;
+    };
+    std::vector<std::string> out;
+    for (CoordScaling scaling : {CoordScaling::kSqrtGap, CoordScaling::kGap}) {
+      opts.scaling = scaling;
+      Hasher hs;
+      for (const MeloOrderingRun& run : melo_orderings(h, opts)) {
+        hs.mix_span(run.ordering);
+        hs.mix_double(run.h_initial);
+        hs.mix_double(run.h_final);
+      }
+      out.push_back(hs.digest().hex());
+    }
+    return out;
+  };
+  EXPECT_EQ(digests(1000, 6),
+            (std::vector<std::string>{"2cac1be9b8e19777f522f9f2f936049b",
+                                      "007de1af83e8b3b9c2100859a4ebe66e"}));
+  EXPECT_EQ(digests(1000, 16),
+            (std::vector<std::string>{"ff7db62dd639d84b36677190d0e183fd",
+                                      "10126ff28083935dc80d411b850cc2b2"}));
+  EXPECT_EQ(digests(5000, 6),
+            (std::vector<std::string>{"35ac5fa5f03f72c399cd84f1404675d2",
+                                      "417461b4ef48a65148e4df5cad27423c"}));
 }
 
 TEST(MeloOrder, IsPermutationForAllSchemes) {
