@@ -54,21 +54,11 @@ Vec SymCsrMatrix::matvec(const Vec& x) const {
 
 void SymCsrMatrix::spmm(const Panel& x, Panel& y,
                         const ParallelConfig& par) const {
-  const std::size_t n = storage_.num_rows();
-  const std::size_t b = x.cols();
-  SP_ASSERT(x.rows() == n && y.rows() == n && y.cols() == b);
-  parallel_for(par, 0, n, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      double* yi = y.row(i);
-      for (std::size_t c = 0; c < b; ++c) yi[c] = 0.0;
-      for (std::size_t k = storage_.offsets[i]; k < storage_.offsets[i + 1];
-           ++k) {
-        const double a = storage_.values[k];
-        const double* xk = x.row(storage_.cols[k]);
-        for (std::size_t c = 0; c < b; ++c) yi[c] += a * xk[c];
-      }
-    }
-  });
+  SP_ASSERT(&x != &y);
+  SP_ASSERT(y.rows() == size() && y.cols() == x.cols());
+  spmm_rows(x, par,
+            [&y](std::size_t i, std::size_t c0, const double* acc,
+                 std::size_t count) { std::copy_n(acc, count, y.row(i) + c0); });
 }
 
 std::size_t SymCsrMatrix::stream_bytes() const {

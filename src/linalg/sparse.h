@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "linalg/csr.h"
@@ -58,14 +60,28 @@ class SymCsrMatrix {
   Vec matvec(const Vec& x) const;
 
   /// Y = A X for an n x b panel (see linalg::Panel): the blocked SpMM that
-  /// advances all b Krylov directions through one sweep of the matrix. Rows
-  /// are split into fixed blocks like matvec; every output row is an
-  /// independent left-to-right accumulation over the row's nonzeros, so the
-  /// result is bit-identical for any thread count. The contiguous row-major
-  /// panel makes the inner b-wide update y_i += a_ik * x_k vectorizable and
-  /// loads each CSR entry once for all b columns (a matvec chain loads the
-  /// matrix b times for the same work).
+  /// advances all b Krylov directions through one sweep of the matrix. The
+  /// store epilogue of spmm_rows; `x` and `y` must be different panels (an
+  /// aliased call would read rows it has already overwritten). Every Y
+  /// element is bit-identical to matvec of its column, for any thread
+  /// count.
   void spmm(const Panel& x, Panel& y, const ParallelConfig& par = {}) const;
+
+  /// The SpMM accumulation loop, with the store left to the caller. Rows
+  /// are split into fixed blocks like matvec. Each row's columns go in
+  /// fixed-width chunks (16, then 8/4/2/1 for the remainder) whose sums
+  /// live in local accumulators: each starts at 0.0 and adds a_ik * x_k[c]
+  /// over the row's nonzeros in CSR order — matvec's operations in
+  /// matvec's order, so the result is bit-identical for any thread count.
+  /// Each chunk ends in one call
+  ///   store(i, c0, acc, count)   // acc[c] = (A X)(i, c0 + c), c < count
+  /// from whichever thread owns row i. The store may write row i of any
+  /// panel except `x` (for example over the previous iterate of a
+  /// recurrence); it must never write `x`, whose rows other blocks are
+  /// still reading.
+  template <class Store>
+  void spmm_rows(const Panel& x, const ParallelConfig& par,
+                 Store&& store) const;
 
   /// Bytes one full sweep of the CSR arrays streams (values + column
   /// indices + row offsets): the unit of the eigensolver bytes-moved
@@ -98,5 +114,49 @@ class SymCsrMatrix {
  private:
   CsrStorage storage_;
 };
+
+template <class Store>
+void SymCsrMatrix::spmm_rows(const Panel& x, const ParallelConfig& par,
+                             Store&& store) const {
+  const std::size_t n = storage_.num_rows();
+  const std::size_t b = x.cols();
+  SP_ASSERT(x.rows() == n);
+  const std::size_t* offsets = storage_.offsets.data();
+  const std::uint32_t* cols = storage_.cols.data();
+  const double* values = storage_.values.data();
+  const double* xd = x.data();
+  parallel_for(par, 0, n, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      // A compile-time width keeps acc in registers; b is a runtime value.
+      const auto chunk = [&](std::size_t c0, auto width) {
+        constexpr std::size_t kWidth = decltype(width)::value;
+        double acc[kWidth];
+        for (std::size_t c = 0; c < kWidth; ++c) acc[c] = 0.0;
+        for (std::size_t k = offsets[i]; k < offsets[i + 1]; ++k) {
+          const double a = values[k];
+          const double* xk = xd + cols[k] * b + c0;
+          for (std::size_t c = 0; c < kWidth; ++c) acc[c] += a * xk[c];
+        }
+        store(i, c0, acc, kWidth);
+      };
+      std::size_t c0 = 0;
+      for (; b - c0 >= 16; c0 += 16)
+        chunk(c0, std::integral_constant<std::size_t, 16>{});
+      if (b - c0 >= 8) {
+        chunk(c0, std::integral_constant<std::size_t, 8>{});
+        c0 += 8;
+      }
+      if (b - c0 >= 4) {
+        chunk(c0, std::integral_constant<std::size_t, 4>{});
+        c0 += 4;
+      }
+      if (b - c0 >= 2) {
+        chunk(c0, std::integral_constant<std::size_t, 2>{});
+        c0 += 2;
+      }
+      if (b - c0 >= 1) chunk(c0, std::integral_constant<std::size_t, 1>{});
+    }
+  });
+}
 
 }  // namespace specpart::linalg

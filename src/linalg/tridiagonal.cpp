@@ -27,46 +27,66 @@ Tridiagonal householder_tridiagonalize(DenseMatrix a, DenseMatrix* accumulated) 
   SP_ASSERT(a.cols() == n);
   Vec d(n, 0.0);
   Vec e(n, 0.0);
+  // Row r of `a`, bounds-checked once per row access; column indices are
+  // bounded by the loop limits below.
+  double* const base = a.data();
+  const auto row = [base, n](std::size_t r) {
+    SP_ASSERT(r < n);
+    return base + r * n;
+  };
 
-  // Householder reduction (EISPACK tred2, 0-based).
+  // Householder reduction (EISPACK tred2, 0-based). tred2 forms each
+  // g_j = sum_k a(j,k) u_k over the lower triangle (u = row i) from a row
+  // part (k <= j) and a column part (k > j); the column part is added here
+  // row by row, k ascending, after every row part, so each g_j sums the
+  // same terms in the same order while every inner loop streams a
+  // contiguous row. The a(j,i) stores write column i, which no g_j reads.
   for (std::size_t i = n - 1; i >= 1; --i) {
     const std::size_t l = i - 1;
+    double* ai = row(i);
     double h = 0.0;
     double scale = 0.0;
     if (l > 0) {
-      for (std::size_t k = 0; k <= l; ++k) scale += std::fabs(a.at(i, k));
+      for (std::size_t k = 0; k <= l; ++k) scale += std::fabs(ai[k]);
       if (scale == 0.0) {
-        e[i] = a.at(i, l);
+        e[i] = ai[l];
       } else {
         for (std::size_t k = 0; k <= l; ++k) {
-          a.at(i, k) /= scale;
-          h += a.at(i, k) * a.at(i, k);
+          ai[k] /= scale;
+          h += ai[k] * ai[k];
         }
-        double f = a.at(i, l);
+        double f = ai[l];
         double g = f >= 0.0 ? -std::sqrt(h) : std::sqrt(h);
         e[i] = scale * g;
         h -= f * g;
-        a.at(i, l) = f - g;
+        ai[l] = f - g;
+        for (std::size_t j = 0; j <= l; ++j) {
+          const double* aj = row(j);
+          g = 0.0;
+          for (std::size_t k = 0; k <= j; ++k) g += aj[k] * ai[k];
+          e[j] = g;
+        }
+        for (std::size_t k = 1; k <= l; ++k) {
+          const double* ak = row(k);
+          const double uk = ai[k];
+          for (std::size_t j = 0; j < k; ++j) e[j] += ak[j] * uk;
+        }
         f = 0.0;
         for (std::size_t j = 0; j <= l; ++j) {
-          a.at(j, i) = a.at(i, j) / h;
-          g = 0.0;
-          for (std::size_t k = 0; k <= j; ++k) g += a.at(j, k) * a.at(i, k);
-          for (std::size_t k = j + 1; k <= l; ++k)
-            g += a.at(k, j) * a.at(i, k);
-          e[j] = g / h;
-          f += e[j] * a.at(i, j);
+          row(j)[i] = ai[j] / h;
+          e[j] /= h;
+          f += e[j] * ai[j];
         }
         const double hh = f / (h + h);
         for (std::size_t j = 0; j <= l; ++j) {
-          f = a.at(i, j);
+          double* aj = row(j);
+          f = ai[j];
           e[j] = g = e[j] - hh * f;
-          for (std::size_t k = 0; k <= j; ++k)
-            a.at(j, k) -= f * e[k] + g * a.at(i, k);
+          for (std::size_t k = 0; k <= j; ++k) aj[k] -= f * e[k] + g * ai[k];
         }
       }
     } else {
-      e[i] = a.at(i, l);
+      e[i] = ai[l];
     }
     d[i] = h;
     if (i == 1) break;  // avoid size_t underflow
@@ -74,20 +94,31 @@ Tridiagonal householder_tridiagonalize(DenseMatrix a, DenseMatrix* accumulated) 
   d[0] = 0.0;
   e[0] = 0.0;
 
-  // Accumulate the transformation.
+  // Accumulate the transformation. Step i's g_j = sum_{k<i} a(i,k) a(k,j)
+  // reads row i and column j above row i, and no update of step i writes
+  // either, so every g_j is formed first (row by row, k ascending: tred2's
+  // order per g_j), then the updates a(k,j) -= g_j a(k,i) run row by row.
+  Vec g(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
+    double* ai = row(i);
     if (d[i] != 0.0) {
-      for (std::size_t j = 0; j < i; ++j) {
-        double g = 0.0;
-        for (std::size_t k = 0; k < i; ++k) g += a.at(i, k) * a.at(k, j);
-        for (std::size_t k = 0; k < i; ++k) a.at(k, j) -= g * a.at(k, i);
+      std::fill_n(g.begin(), i, 0.0);
+      for (std::size_t k = 0; k < i; ++k) {
+        const double* ak = row(k);
+        const double aik = ai[k];
+        for (std::size_t j = 0; j < i; ++j) g[j] += aik * ak[j];
+      }
+      for (std::size_t k = 0; k < i; ++k) {
+        double* ak = row(k);
+        const double aki = ak[i];
+        for (std::size_t j = 0; j < i; ++j) ak[j] -= g[j] * aki;
       }
     }
-    d[i] = a.at(i, i);
-    a.at(i, i) = 1.0;
+    d[i] = ai[i];
+    ai[i] = 1.0;
     for (std::size_t j = 0; j < i; ++j) {
-      a.at(j, i) = 0.0;
-      a.at(i, j) = 0.0;
+      row(j)[i] = 0.0;
+      ai[j] = 0.0;
     }
   }
 

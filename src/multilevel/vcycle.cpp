@@ -69,22 +69,19 @@ double rayleigh_ritz(const SymCsrMatrix& l, Panel& x, std::size_t want,
   theta = dec.values;
 
   const std::size_t nres = std::min(want, w);
+  const Vec sq = linalg::panel_column_sums(
+      n, nres, par, [&](std::size_t r, double* partial) {
+        const double* zrow = zr.row(r);
+        const double* xrow = x.row(r);
+        for (std::size_t j = 0; j < nres; ++j) {
+          const double d = zrow[j] - theta[j] * xrow[j];
+          partial[j] += d * d;
+        }
+      });
   residuals.assign(nres, 0.0);
   double worst = 0.0;
   for (std::size_t j = 0; j < nres; ++j) {
-    const double tj = theta[j];
-    const double sq = parallel_reduce<double>(
-        par, 0, n, 0.0,
-        [&](std::size_t lo, std::size_t hi) {
-          double acc = 0.0;
-          for (std::size_t r = lo; r < hi; ++r) {
-            const double d = zr.at(r, j) - tj * x.at(r, j);
-            acc += d * d;
-          }
-          return acc;
-        },
-        [](double acc, double part) { return acc + part; });
-    residuals[j] = std::sqrt(sq);
+    residuals[j] = std::sqrt(sq[j]);
     worst = std::max(worst, residuals[j]);
   }
   c.flops += 3ull * n * nres;
@@ -95,46 +92,66 @@ double rayleigh_ritz(const SymCsrMatrix& l, Panel& x, std::size_t want,
 /// `x`: the three-term recurrence in the variable (L - c I) / e grows like
 /// cosh(degree * acosh(..)) below `lo` and stays bounded on [lo, hi], so
 /// the wanted low eigencomponents are amplified relative to everything
-/// else. Columns are renormalized every 8 degrees against overflow (the
-/// growth factor per degree can exceed 1e2 when lo << hi).
+/// else. Each degree is one fused pass: the SpMM of the current iterate
+/// y1 stores the next iterate over the previous one, y0, row by row (y0 is
+/// never the SpMM operand), and the two swap. Columns are renormalized
+/// every 8 degrees against overflow (the growth factor per degree can
+/// exceed 1e2 when lo << hi).
 void chebyshev_filter(const SymCsrMatrix& l, Panel& x, double lo, double hi,
                       std::size_t degree, const ParallelConfig& par,
                       Counters& c) {
   const std::size_t n = x.rows(), w = x.cols();
   const double e = std::max((hi - lo) / 2.0, 1e-300);
   const double ctr = (hi + lo) / 2.0;
-  Panel y0 = x;
-  Panel y1(n, w), tmp(n, w);
-  l.spmm(y0, tmp, par);
+  Panel y1 = std::move(x);
+  Panel y0(n, w);
+  l.spmm_rows(y1, par,
+              [&](std::size_t r, std::size_t c0, const double* acc,
+                  std::size_t count) {
+                const double* cur = y1.row(r) + c0;
+                double* next = y0.row(r) + c0;
+                for (std::size_t cc = 0; cc < count; ++cc)
+                  next[cc] = (acc[cc] - ctr * cur[cc]) / e;
+              });
+  std::swap(y0, y1);
   c.charge_spmm(l, w);
-  parallel_for(par, 0, n, [&](std::size_t lo_r, std::size_t hi_r) {
-    for (std::size_t r = lo_r; r < hi_r; ++r)
-      for (std::size_t cc = 0; cc < w; ++cc)
-        y1.at(r, cc) = (tmp.at(r, cc) - ctr * y0.at(r, cc)) / e;
-  });
   c.flops += 3ull * n * w;
   for (std::size_t k = 1; k < degree; ++k) {
-    l.spmm(y1, tmp, par);
+    l.spmm_rows(y1, par,
+                [&](std::size_t r, std::size_t c0, const double* acc,
+                    std::size_t count) {
+                  const double* cur = y1.row(r) + c0;
+                  double* prev = y0.row(r) + c0;
+                  for (std::size_t cc = 0; cc < count; ++cc)
+                    prev[cc] = 2.0 * (acc[cc] - ctr * cur[cc]) / e - prev[cc];
+                });
+    std::swap(y0, y1);
     c.charge_spmm(l, w);
-    parallel_for(par, 0, n, [&](std::size_t lo_r, std::size_t hi_r) {
-      for (std::size_t r = lo_r; r < hi_r; ++r)
-        for (std::size_t cc = 0; cc < w; ++cc) {
-          const double v =
-              2.0 * (tmp.at(r, cc) - ctr * y1.at(r, cc)) / e - y0.at(r, cc);
-          y0.at(r, cc) = y1.at(r, cc);
-          y1.at(r, cc) = v;
-        }
-    });
     c.flops += 6ull * n * w;
     if ((k & 7) == 7) {
+      const Vec sq = linalg::panel_column_sums(
+          n, w, par, [&](std::size_t r, double* partial) {
+            const double* row = y1.row(r);
+            for (std::size_t cc = 0; cc < w; ++cc)
+              partial[cc] += row[cc] * row[cc];
+          });
+      // A column without a positive norm keeps factor 1.0 (x * 1.0 == x
+      // exactly), as if left unscaled.
+      Vec inv(w, 1.0);
       for (std::size_t cc = 0; cc < w; ++cc) {
-        const double nrm =
-            std::sqrt(linalg::panel_col_dot(y1, cc, y1, cc, par));
-        if (nrm > 0.0) {
-          linalg::panel_col_scale(y1, cc, 1.0 / nrm, par);
-          linalg::panel_col_scale(y0, cc, 1.0 / nrm, par);
-        }
+        const double nrm = std::sqrt(sq[cc]);
+        if (nrm > 0.0) inv[cc] = 1.0 / nrm;
       }
+      parallel_for(par, 0, n, [&](std::size_t lo_r, std::size_t hi_r) {
+        for (std::size_t r = lo_r; r < hi_r; ++r) {
+          double* r1 = y1.row(r);
+          double* r0 = y0.row(r);
+          for (std::size_t cc = 0; cc < w; ++cc) {
+            r1[cc] *= inv[cc];
+            r0[cc] *= inv[cc];
+          }
+        }
+      });
       c.flops += 6ull * n * w;
     }
   }

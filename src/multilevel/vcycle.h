@@ -12,10 +12,13 @@
 // filter on [lo, hi] (lo just above the current Ritz window, hi the
 // Gershgorin bound) damps everything above the wanted band — single power
 // steps on sigma I - L are useless here because sigma >> lambda_d, so the
-// three-term Chebyshev recurrence does the separation work.
+// three-term Chebyshev recurrence does the separation work. Each filter
+// degree is one pass of the SpMM accumulation loop
+// (SymCsrMatrix::spmm_rows) whose epilogue writes the recurrence's next
+// iterate over the previous one.
 //
 // Every floating-point path is either serial or built on the fixed-block
-// primitives of util/parallel.h (panel_ops, spmm), so the result is
+// primitives of util/parallel.h (panel_ops, spmm_rows), so the result is
 // bit-identical across 1, 2 and 8 threads.
 //
 // Convergence contract: the sweeps aspire to linalg::kSolverTolerance, but

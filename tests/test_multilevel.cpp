@@ -5,10 +5,13 @@
 // within tolerance of the flat strategy, flat fallback on an unmet
 // refinement tolerance), and bit-identity across kernel thread counts
 // (this binary also runs as test_multilevel_mt under SPECPART_THREADS=8,
-// making the "auto" lane below an 8-thread lane).
+// making the "auto" lane below an 8-thread lane), plus bit-for-bit
+// differential tests of the V-cycle's panel kernels against test-local
+// copies of the strided code they replaced.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "core/drivers.h"
@@ -16,6 +19,7 @@
 #include "graph/graph.h"
 #include "graph/hypergraph.h"
 #include "graph/laplacian.h"
+#include "linalg/panel_ops.h"
 #include "linalg/symmetric_eigen.h"
 #include "model/assembly.h"
 #include "model/clique_models.h"
@@ -29,6 +33,7 @@ namespace specpart::multilevel {
 namespace {
 
 using linalg::DenseMatrix;
+using linalg::Panel;
 using linalg::SymCsrMatrix;
 using linalg::Vec;
 
@@ -329,6 +334,168 @@ TEST(Multilevel, BitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(one.vectors.max_abs_diff(autod.vectors), 0.0);
   EXPECT_EQ(one.iterations, two.iterations);
   EXPECT_EQ(one.matrix_bytes_moved, two.matrix_bytes_moved);
+}
+
+// Reference: the strided column kernels, CGS2 and Rayleigh-Ritz rotation
+// the V-cycle ran before its panel kernels moved to contiguous rows and
+// columns. The replacements must match them bit for bit.
+double reference_col_dot(const Panel& p, std::size_t ca, const Panel& q,
+                         std::size_t cb, const ParallelConfig& par) {
+  const std::size_t pw = p.cols(), qw = q.cols();
+  const double* pd = p.data();
+  const double* qd = q.data();
+  return parallel_reduce<double>(
+      par, 0, p.rows(), 0.0,
+      [&](std::size_t lo, std::size_t hi) {
+        double s = 0.0;
+        for (std::size_t r = lo; r < hi; ++r)
+          s += pd[r * pw + ca] * qd[r * qw + cb];
+        return s;
+      },
+      [](double acc, double s) { return acc + s; });
+}
+
+void reference_col_axpy(double alpha, const Panel& p, std::size_t ca,
+                        Panel& q, std::size_t cb, const ParallelConfig& par) {
+  const std::size_t pw = p.cols(), qw = q.cols();
+  const double* pd = p.data();
+  double* qd = q.data();
+  parallel_for(par, 0, p.rows(), [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t r = lo; r < hi; ++r)
+      qd[r * qw + cb] += alpha * pd[r * pw + ca];
+  });
+}
+
+void reference_col_scale(Panel& p, std::size_t c, double alpha,
+                         const ParallelConfig& par) {
+  const std::size_t pw = p.cols();
+  double* pd = p.data();
+  parallel_for(par, 0, p.rows(), [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t r = lo; r < hi; ++r) pd[r * pw + c] *= alpha;
+  });
+}
+
+std::size_t reference_qr_cgs2(Panel& x, double breakdown_tol,
+                              const ParallelConfig& par, Rng& rng,
+                              std::uint64_t& flops) {
+  const std::size_t n = x.rows(), width = x.cols();
+  std::size_t restarts = 0;
+  for (std::size_t k = 0; k < width; ++k) {
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      for (int sweep = 0; sweep < 2; ++sweep)
+        for (std::size_t j = 0; j < k; ++j) {
+          const double c = reference_col_dot(x, j, x, k, par);
+          if (c != 0.0) reference_col_axpy(-c, x, j, x, k, par);
+        }
+      flops += 8ull * n * k;
+      const double nrm = std::sqrt(reference_col_dot(x, k, x, k, par));
+      if (nrm > breakdown_tol) {
+        reference_col_scale(x, k, 1.0 / nrm, par);
+        break;
+      }
+      if (attempt == 1) {
+        reference_col_scale(x, k, 0.0, par);
+        break;
+      }
+      for (std::size_t r = 0; r < n; ++r) x.at(r, k) = rng.next_normal();
+      ++restarts;
+    }
+  }
+  return restarts;
+}
+
+void reference_rotate(const Panel& a, const DenseMatrix& u, Panel& out,
+                      const ParallelConfig& par) {
+  const std::size_t k = a.cols(), k2 = u.cols();
+  parallel_for(par, 0, a.rows(), [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t r = lo; r < hi; ++r) {
+      const double* ar = a.row(r);
+      double* orow = out.row(r);
+      for (std::size_t c = 0; c < k2; ++c) {
+        double s = 0.0;
+        for (std::size_t j = 0; j < k; ++j) s += ar[j] * u.at(j, c);
+        orow[c] = s;
+      }
+    }
+  });
+}
+
+bool same_bits(const Panel& a, const Panel& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     a.rows() * a.cols() * sizeof(double)) == 0;
+}
+
+Panel random_panel(std::size_t n, std::size_t w, std::uint64_t seed) {
+  Rng rng(seed);
+  Panel p(n, w);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = 0; c < w; ++c) p.at(r, c) = rng.next_normal();
+  return p;
+}
+
+/// Runs panel_qr_cgs2 and the reference on copies of `x` with the same Rng
+/// seed; expects identical bits, restart counts, flop charges and draws.
+void expect_cgs2_matches_reference(const Panel& x, const ParallelConfig& par,
+                                   const std::string& what) {
+  Panel got = x, want = x;
+  Rng rng_got(99), rng_want(99);
+  std::uint64_t flops_got = 0, flops_want = 0;
+  const std::size_t restarts_got =
+      linalg::panel_qr_cgs2(got, 1e-13, par, rng_got, flops_got);
+  const std::size_t restarts_want =
+      reference_qr_cgs2(want, 1e-13, par, rng_want, flops_want);
+  EXPECT_TRUE(same_bits(got, want)) << what;
+  EXPECT_EQ(restarts_got, restarts_want) << what;
+  EXPECT_EQ(flops_got, flops_want) << what;
+  EXPECT_EQ(rng_got.next_u64(), rng_want.next_u64()) << what;
+}
+
+TEST(PanelOps, Cgs2AndRotateMatchStridedReferenceBitForBit) {
+  // n = 1 leaves every column after the first dead (restart, then zero);
+  // n = 3000 spans several 1024-row reduction blocks.
+  for (const std::size_t n : {1, 700, 3000})
+    for (std::size_t w = 1; w <= 33; ++w) {
+      const Panel x = random_panel(n, w, 31 * n + w);
+      Rng urng(7 * n + w);
+      DenseMatrix u(w, w + 3);
+      for (std::size_t i = 0; i < u.rows(); ++i)
+        for (std::size_t j = 0; j < u.cols(); ++j) u.at(i, j) = urng.next_normal();
+      for (const std::size_t threads : {1, 2, 8}) {
+        const ParallelConfig par = ParallelConfig::with_threads(threads);
+        const std::string what = "n=" + std::to_string(n) +
+                                 " w=" + std::to_string(w) +
+                                 " threads=" + std::to_string(threads);
+        expect_cgs2_matches_reference(x, par, what);
+        Panel got(n, u.cols()), want(n, u.cols());
+        linalg::panel_rotate(x, u, got, par);
+        reference_rotate(x, u, want, par);
+        EXPECT_TRUE(same_bits(got, want)) << what;
+      }
+    }
+}
+
+TEST(PanelOps, Cgs2RestartPathMatchesReferenceBitForBit) {
+  // A duplicated column dies under orthogonalization and a zero column is
+  // dead on arrival: both take the refill path, drawing from the Rng in
+  // the same order on both sides.
+  for (const std::size_t n : {5, 700, 3000}) {
+    Panel x = random_panel(n, 6, 500 + n);
+    for (std::size_t r = 0; r < n; ++r) {
+      x.at(r, 2) = x.at(r, 0);
+      x.at(r, 4) = 0.0;
+    }
+    for (const std::size_t threads : {1, 2, 8}) {
+      const ParallelConfig par = ParallelConfig::with_threads(threads);
+      Panel probe = x;
+      Rng rng(99);
+      std::uint64_t flops = 0;
+      EXPECT_GE(linalg::panel_qr_cgs2(probe, 1e-13, par, rng, flops), 2u);
+      expect_cgs2_matches_reference(
+          x, par, "n=" + std::to_string(n) + " threads=" +
+                      std::to_string(threads));
+    }
+  }
 }
 
 }  // namespace

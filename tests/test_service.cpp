@@ -179,23 +179,30 @@ TEST(Service, ColdResponseGoldenDigests) {
 
 TEST(Cache, ColdBasisGoldenDigests) {
   // Pinned digests of the cold eigenbasis, values and vectors bit for bit,
-  // of one fixed netlist above the dense threshold under each
+  // of two fixed netlists above the dense threshold under each
   // default-reachable solve: flat or multilevel, unnormalized or
   // normalized. Flat Lanczos is pinned on the serial lane and on the
   // threaded lane the service's automatic thread count runs (every count
   // >= 2 gives the same bits); the V-cycle gives one set of bits at any
-  // thread count. The response digests above see only the split, so an
-  // arithmetic change that keeps the split passes them and fails here.
-  // Cached and stored bases are served as if computed now: a change that
-  // moves these values must come with a deliberate update of them.
-  const graph::Hypergraph h = small_netlist(7, 700);
-  const model::CliqueModel cm(h, model::NetModel::kPartitioningSpecific);
-  const auto digest = [&](const core::PipelineConfig& p, std::size_t threads) {
+  // thread count. The n=700 netlist coarsens once; the n=2000 one several
+  // times, so its rows also pin refinement on intermediate levels, at an
+  // 18-wide (count 9) and a 32-wide (count 16) panel. The response digests
+  // above see only the split, so an arithmetic change that keeps the split
+  // passes them and fails here. Cached and stored bases are served as if
+  // computed now: a change that moves these values must come with a
+  // deliberate update of them.
+  const auto digest = [](const model::CliqueModel& cm,
+                         const core::PipelineConfig& p, std::size_t threads,
+                         std::size_t count) {
     spectral::EmbeddingOptions e = p.embedding_options();
-    e.count = 9;
+    e.count = count;
     e.parallel = ParallelConfig::with_threads(threads);
-    const spectral::EigenBasis basis =
-        spectral::compute_eigenbasis(cm.operator_matrix(e.objective), e);
+    Diagnostics diag;
+    const spectral::EigenBasis basis = spectral::compute_eigenbasis(
+        cm.operator_matrix(e.objective), e, &diag);
+    // No fallback: each row pins the solve it names (a V-cycle row that
+    // fell back to flat Lanczos would pin nothing of the V-cycle).
+    EXPECT_EQ(diag.total_fallbacks(), 0u);
     const linalg::DenseMatrix& v = basis.vectors;
     Hasher hs;
     hs.mix_span(basis.values);
@@ -211,13 +218,29 @@ TEST(Cache, ColdBasisGoldenDigests) {
   core::PipelineConfig multilevel_normalized = multilevel;
   multilevel_normalized.objective = core::ObjectiveModel::kNormalizedSymmetric;
 
-  EXPECT_EQ(digest(flat, 1), "89a72b877914c1c489a375deb2cd3482");
-  EXPECT_EQ(digest(flat, 2), "36f9f57c4f4cab5a2cd06b52fb36968f");
-  EXPECT_EQ(digest(multilevel, 1), "e9c6dc1eb31e04126db4ecc298298f12");
-  EXPECT_EQ(digest(flat_normalized, 1), "29c4c2e08322a853be5123ae23753f44");
-  EXPECT_EQ(digest(flat_normalized, 2), "8024a6ea72bccdd4d9317377d5d0fb9e");
-  EXPECT_EQ(digest(multilevel_normalized, 1),
+  const graph::Hypergraph h700 = small_netlist(7, 700);
+  const model::CliqueModel small(h700, model::NetModel::kPartitioningSpecific);
+  EXPECT_EQ(digest(small, flat, 1, 9), "89a72b877914c1c489a375deb2cd3482");
+  EXPECT_EQ(digest(small, flat, 2, 9), "36f9f57c4f4cab5a2cd06b52fb36968f");
+  EXPECT_EQ(digest(small, multilevel, 1, 9),
+            "e9c6dc1eb31e04126db4ecc298298f12");
+  EXPECT_EQ(digest(small, flat_normalized, 1, 9),
+            "29c4c2e08322a853be5123ae23753f44");
+  EXPECT_EQ(digest(small, flat_normalized, 2, 9),
+            "8024a6ea72bccdd4d9317377d5d0fb9e");
+  EXPECT_EQ(digest(small, multilevel_normalized, 1, 9),
             "7df4b4181ce53917cb3d1532e7762221");
+
+  const graph::Hypergraph h2000 = small_netlist(7, 2000);
+  const model::CliqueModel large(h2000, model::NetModel::kPartitioningSpecific);
+  EXPECT_EQ(digest(large, flat, 1, 9), "ed9ace4e8834d99d0d0b035936e50e8d");
+  EXPECT_EQ(digest(large, flat, 2, 9), "42af8579615654bf7616b7f99b3e2a88");
+  EXPECT_EQ(digest(large, multilevel, 1, 9),
+            "13c97f62ccea93a7a9b7d6d6266b10b5");
+  EXPECT_EQ(digest(large, multilevel_normalized, 1, 9),
+            "cfc1c5f82ad6470ce5da0995586bacd3");
+  EXPECT_EQ(digest(large, multilevel, 1, 16),
+            "cb46e85e71f8a6f1d44653277fc14ae5");
 }
 
 TEST(Cache, SolverStrategiesLiveInDisjointKeyDomains) {

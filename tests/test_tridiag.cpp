@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "linalg/symmetric_eigen.h"
 #include "linalg/tridiagonal.h"
@@ -169,6 +170,112 @@ TEST(Householder, TridiagonalIsSimilar) {
   }
   const DenseMatrix recon = q.multiply(tm).multiply(q.transposed());
   EXPECT_LT(recon.max_abs_diff(a), 1e-10 * (1.0 + a.frobenius()));
+}
+
+/// Reference: EISPACK tred2 as householder_tridiagonalize ran it before
+/// its inner loops moved to contiguous rows — element access through at(),
+/// each g_j's column part read down column j.
+Tridiagonal reference_tred2(DenseMatrix a, DenseMatrix& q) {
+  const std::size_t n = a.rows();
+  Vec d(n, 0.0);
+  Vec e(n, 0.0);
+  for (std::size_t i = n - 1; i >= 1; --i) {
+    const std::size_t l = i - 1;
+    double h = 0.0;
+    double scale = 0.0;
+    if (l > 0) {
+      for (std::size_t k = 0; k <= l; ++k) scale += std::fabs(a.at(i, k));
+      if (scale == 0.0) {
+        e[i] = a.at(i, l);
+      } else {
+        for (std::size_t k = 0; k <= l; ++k) {
+          a.at(i, k) /= scale;
+          h += a.at(i, k) * a.at(i, k);
+        }
+        double f = a.at(i, l);
+        double g = f >= 0.0 ? -std::sqrt(h) : std::sqrt(h);
+        e[i] = scale * g;
+        h -= f * g;
+        a.at(i, l) = f - g;
+        f = 0.0;
+        for (std::size_t j = 0; j <= l; ++j) {
+          a.at(j, i) = a.at(i, j) / h;
+          g = 0.0;
+          for (std::size_t k = 0; k <= j; ++k) g += a.at(j, k) * a.at(i, k);
+          for (std::size_t k = j + 1; k <= l; ++k)
+            g += a.at(k, j) * a.at(i, k);
+          e[j] = g / h;
+          f += e[j] * a.at(i, j);
+        }
+        const double hh = f / (h + h);
+        for (std::size_t j = 0; j <= l; ++j) {
+          f = a.at(i, j);
+          e[j] = g = e[j] - hh * f;
+          for (std::size_t k = 0; k <= j; ++k)
+            a.at(j, k) -= f * e[k] + g * a.at(i, k);
+        }
+      }
+    } else {
+      e[i] = a.at(i, l);
+    }
+    d[i] = h;
+    if (i == 1) break;
+  }
+  d[0] = 0.0;
+  e[0] = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (d[i] != 0.0) {
+      for (std::size_t j = 0; j < i; ++j) {
+        double g = 0.0;
+        for (std::size_t k = 0; k < i; ++k) g += a.at(i, k) * a.at(k, j);
+        for (std::size_t k = 0; k < i; ++k) a.at(k, j) -= g * a.at(k, i);
+      }
+    }
+    d[i] = a.at(i, i);
+    a.at(i, i) = 1.0;
+    for (std::size_t j = 0; j < i; ++j) {
+      a.at(j, i) = 0.0;
+      a.at(i, j) = 0.0;
+    }
+  }
+  q = std::move(a);
+  return Tridiagonal{std::move(d), std::move(e)};
+}
+
+bool same_bits(const Vec& a, const Vec& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+void expect_tred2_matches_reference(const DenseMatrix& a,
+                                    const std::string& what) {
+  DenseMatrix q_got, q_want;
+  const Tridiagonal got = householder_tridiagonalize(a, &q_got);
+  const Tridiagonal want = reference_tred2(a, q_want);
+  EXPECT_TRUE(same_bits(got.diag, want.diag)) << what;
+  EXPECT_TRUE(same_bits(got.off, want.off)) << what;
+  ASSERT_EQ(q_got.rows(), q_want.rows()) << what;
+  EXPECT_EQ(std::memcmp(q_got.data(), q_want.data(),
+                        q_got.rows() * q_got.cols() * sizeof(double)),
+            0)
+      << what;
+}
+
+TEST(Householder, RowOrderedTred2MatchesEispackBitForBit) {
+  for (const std::size_t n : {1, 2, 3, 31, 385})
+    expect_tred2_matches_reference(random_symmetric(n, 500 + n),
+                                   "random n=" + std::to_string(n));
+  // An all-zero row and column: tred2's scale == 0 branch at that row.
+  DenseMatrix holed = random_symmetric(31, 9);
+  for (std::size_t k = 0; k < 31; ++k) {
+    holed.at(10, k) = 0.0;
+    holed.at(k, 10) = 0.0;
+  }
+  expect_tred2_matches_reference(holed, "zero row");
+  // Diagonal: every row takes the scale == 0 branch.
+  DenseMatrix diagonal(31, 31);
+  for (std::size_t i = 0; i < 31; ++i) diagonal.at(i, i) = 1.0 + double(i % 7);
+  expect_tred2_matches_reference(diagonal, "diagonal");
 }
 
 }  // namespace
