@@ -136,8 +136,10 @@ Hypergraph generate_netlist(const GeneratorConfig& cfg) {
   std::vector<NodeId> all(n);
   std::iota(all.begin(), all.end(), 0u);
 
-  std::vector<std::vector<NodeId>> nets;
-  nets.reserve(cfg.num_nets + 16);
+  // CSR net arrays: net e's pins are net_pins[offsets[e] .. offsets[e + 1]).
+  std::vector<std::size_t> offsets{0};
+  offsets.reserve(cfg.num_nets + 17);
+  std::vector<NodeId> net_pins;
   std::vector<NodeId> pins;
   for (std::size_t e = 0; e < cfg.num_nets; ++e) {
     const double scope_draw = rng.next_double();
@@ -153,14 +155,16 @@ Hypergraph generate_netlist(const GeneratorConfig& cfg) {
     }
     const std::size_t size = std::min(draw_net_size(cfg, rng), pool->size());
     sample_distinct(*pool, std::max<std::size_t>(2, size), rng, pins);
-    nets.push_back(pins);
+    net_pins.insert(net_pins.end(), pins.begin(), pins.end());
+    offsets.push_back(net_pins.size());
   }
 
   // Repair connectivity: link every stray component to component 0 with a
   // 2-pin net between random representatives.
   UnionFind uf(n);
-  for (const auto& net : nets)
-    for (std::size_t i = 1; i < net.size(); ++i) uf.unite(net[0], net[i]);
+  for (std::size_t e = 0; e + 1 < offsets.size(); ++e)
+    for (std::size_t i = offsets[e] + 1; i < offsets[e + 1]; ++i)
+      uf.unite(net_pins[offsets[e]], net_pins[i]);
   std::vector<NodeId> representative;
   std::vector<char> seen_root(n, 0);
   for (NodeId v = 0; v < n; ++v) {
@@ -171,11 +175,13 @@ Hypergraph generate_netlist(const GeneratorConfig& cfg) {
     }
   }
   for (std::size_t i = 1; i < representative.size(); ++i) {
-    nets.push_back({representative[0], representative[i]});
+    net_pins.push_back(representative[0]);
+    net_pins.push_back(representative[i]);
+    offsets.push_back(net_pins.size());
     uf.unite(representative[0], representative[i]);
   }
 
-  return Hypergraph(n, std::move(nets));
+  return Hypergraph::from_csr(n, std::move(offsets), std::move(net_pins));
 }
 
 std::vector<std::uint32_t> planted_clusters(const GeneratorConfig& cfg) {

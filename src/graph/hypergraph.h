@@ -5,9 +5,17 @@
 // that matter to a circuit designer (net cut, Scaled Cost) are evaluated on
 // the hypergraph; the spectral machinery runs on a clique-model Graph
 // derived from it (src/model).
+//
+// Storage is two CSR pairs on the same data plane as graph::Graph and
+// linalg::SymCsrMatrix (linalg/csr.h: std::size_t offsets, uint32 ids):
+// net offsets with the pins of every net, and vertex offsets with the nets
+// incident to every vertex. Both constructors canonicalize through one
+// path — each net's pins sorted and de-duplicated in place, the incidence
+// built by a counting sort — so a vertex lists its nets in ascending id.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,23 +34,45 @@ class Hypergraph {
   /// (each net = list of pins = vertex ids). Duplicate pins within a net are
   /// merged; nets with fewer than 2 distinct pins are kept but never count
   /// as cut. `net_weights` is optional (empty = all 1.0).
-  Hypergraph(std::size_t num_nodes, std::vector<std::vector<NodeId>> nets,
+  Hypergraph(std::size_t num_nodes,
+             const std::vector<std::vector<NodeId>>& nets,
              std::vector<double> net_weights = {});
 
-  std::size_t num_nodes() const { return node_nets_.size(); }
-  std::size_t num_nets() const { return nets_.size(); }
+  /// Same, from CSR arrays: net e's pins are
+  /// pins[net_offsets[e] .. net_offsets[e + 1]). `net_offsets` starts at 0,
+  /// never decreases and ends at pins.size(); the pins are sorted and
+  /// de-duplicated in place. A named constructor, so that brace-initialized
+  /// calls like Hypergraph(2, {{0, 1}}, {3.0}) stay unambiguous.
+  static Hypergraph from_csr(std::size_t num_nodes,
+                             std::vector<std::size_t> net_offsets,
+                             std::vector<NodeId> pins,
+                             std::vector<double> net_weights = {});
+
+  std::size_t num_nodes() const {
+    return node_offsets_.empty() ? 0 : node_offsets_.size() - 1;
+  }
+  std::size_t num_nets() const { return net_weights_.size(); }
 
   /// Total pin count (after duplicate-pin merging).
-  std::size_t num_pins() const { return num_pins_; }
+  std::size_t num_pins() const { return pins_.size(); }
 
-  const std::vector<NodeId>& net(NetId e) const { return nets_[e]; }
+  /// Pins of net e, ascending.
+  std::span<const NodeId> net(NetId e) const {
+    return {pins_.data() + net_offsets_[e],
+            net_offsets_[e + 1] - net_offsets_[e]};
+  }
   double net_weight(NetId e) const { return net_weights_[e]; }
 
-  /// Nets incident to vertex v.
-  const std::vector<NetId>& nets_of(NodeId v) const { return node_nets_[v]; }
+  /// Nets incident to vertex v, ascending.
+  std::span<const NetId> nets_of(NodeId v) const {
+    return {node_nets_.data() + node_offsets_[v],
+            node_offsets_[v + 1] - node_offsets_[v]};
+  }
 
   /// Number of nets incident to vertex v.
-  std::size_t node_degree(NodeId v) const { return node_nets_[v].size(); }
+  std::size_t node_degree(NodeId v) const {
+    return node_offsets_[v + 1] - node_offsets_[v];
+  }
 
   /// Largest net size.
   std::size_t max_net_size() const;
@@ -66,11 +96,16 @@ class Hypergraph {
   void set_node_names(std::vector<std::string> names);
 
  private:
-  std::vector<std::vector<NodeId>> nets_;
+  /// The one canonicalization path: validates the net arrays, sorts and
+  /// de-duplicates each net in place, then builds the incidence.
+  void canonicalize(std::size_t num_nodes);
+
+  std::vector<std::size_t> net_offsets_;   // num_nets + 1
+  std::vector<NodeId> pins_;
   std::vector<double> net_weights_;
-  std::vector<std::vector<NetId>> node_nets_;
+  std::vector<std::size_t> node_offsets_;  // num_nodes + 1
+  std::vector<NetId> node_nets_;
   std::vector<std::string> node_names_;
-  std::size_t num_pins_ = 0;
 };
 
 /// Views a plain graph as a hypergraph of 2-pin nets (weights preserved).

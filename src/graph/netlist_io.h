@@ -11,22 +11,44 @@
 //    Header: five lines (ignored pad offset etc.); then one line per pin:
 //    "<module> <s|l|...> <I|O|B>" where 's' opens a new net. Module names
 //    `a<k>` are cells and `p<k>` are pads; both become vertices.
+//
+// Both parsers read through one line scanner: lines end at '\n', tokens are
+// separated by std::isspace bytes (of the "C" locale), and blank lines and
+// lines whose first non-blank byte is '%' or '#' are comments.
 #pragma once
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "graph/hypergraph.h"
 #include "util/status.h"
 
 namespace specpart::graph {
 
-/// Parses hMETIS .hgr text. Throws specpart::Error on malformed input:
-/// overflowing or allocation-scale header counts, out-of-range pins, nets
-/// missing relative to the header, and trailing garbage after the declared
-/// net (and vertex-weight) lines are all rejected with precise messages.
+/// The counts an .hgr header line "<#nets> <#vertices> [fmt]" declares.
+struct HgrHeader {
+  std::size_t num_nets = 0;
+  std::size_t num_nodes = 0;
+  /// 0, 1 (net weights), 10 (vertex weights) or 11 (both).
+  std::size_t fmt = 0;
+};
+
+/// Parses only the header — the first content line — of .hgr text, with
+/// read_hgr's checks and messages. Lets a caller bound the declared counts
+/// by what it has received before it decodes the rest.
+HgrHeader read_hgr_header(std::string_view text);
+
+/// Parses hMETIS .hgr text in one pass, straight into the hypergraph's CSR
+/// arrays. Throws specpart::Error on malformed input: overflowing or
+/// allocation-scale header counts, out-of-range pins, nets missing relative
+/// to the header, and trailing garbage after the declared net (and
+/// vertex-weight) lines are all rejected with precise messages. Nothing is
+/// sized from the declared net count before the net lines arrive.
 /// Recovered anomalies — duplicate pins within a net (merged) — are
 /// reported through the optional `diag` sink.
+Hypergraph read_hgr(std::string_view text, Diagnostics* diag = nullptr);
+/// Reads the whole stream, then parses it as above.
 Hypergraph read_hgr(std::istream& in, Diagnostics* diag = nullptr);
 Hypergraph read_hgr_file(const std::string& path, Diagnostics* diag = nullptr);
 

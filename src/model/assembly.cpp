@@ -1,5 +1,6 @@
 #include "model/assembly.h"
 
+#include <span>
 #include <string>
 
 #include "graph/laplacian.h"
@@ -12,7 +13,7 @@ namespace {
 
 constexpr const char* kModelStage = "model";
 
-bool net_eligible(const std::vector<graph::NodeId>& pins,
+bool net_eligible(std::span<const graph::NodeId> pins,
                   std::size_t max_net_size) {
   if (pins.size() < 2) return false;
   return max_net_size == 0 || pins.size() <= max_net_size;

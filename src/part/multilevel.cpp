@@ -96,14 +96,18 @@ graph::Hypergraph coarsen_once(const graph::Hypergraph& h,
     if (pins.size() < 2) continue;  // net collapsed inside a coarse vertex
     merged[pins] += h.net_weight(e);
   }
-  std::vector<std::vector<graph::NodeId>> nets;
+  std::vector<std::size_t> offsets{0};
+  std::vector<graph::NodeId> net_pins;
   std::vector<double> weights;
-  nets.reserve(merged.size());
-  for (auto& [key, w] : merged) {
-    nets.push_back(key);
+  offsets.reserve(merged.size() + 1);
+  weights.reserve(merged.size());
+  for (const auto& [key, w] : merged) {
+    net_pins.insert(net_pins.end(), key.begin(), key.end());
+    offsets.push_back(net_pins.size());
     weights.push_back(w);
   }
-  return graph::Hypergraph(next, std::move(nets), std::move(weights));
+  return graph::Hypergraph::from_csr(next, std::move(offsets),
+                                     std::move(net_pins), std::move(weights));
 }
 
 namespace {

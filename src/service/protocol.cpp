@@ -1,5 +1,7 @@
 #include "service/protocol.h"
 
+#include <algorithm>
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -42,6 +44,17 @@ std::vector<std::pair<std::string, std::string>> parse_header_fields(
     fields.emplace_back(key, value);
   }
   return fields;
+}
+
+/// A 32-bit field: a value above UINT32_MAX is an error, never a silent
+/// truncation. `error_prefix` lets a REQUEST field fail as bad_request.
+std::uint32_t parse_u32_field(const std::string& value, const char* what,
+                              const char* error_prefix) {
+  const std::size_t v = parse_size(value, what);
+  if (v > UINT32_MAX)
+    throw Error(strprintf("%s%s=%zu exceeds the 32-bit limit %u",
+                          error_prefix, what, v, UINT32_MAX));
+  return static_cast<std::uint32_t>(v);
 }
 
 bool parse_bool_field(const std::string& value, const std::string& key) {
@@ -143,7 +156,7 @@ PartitionRequest parse_request(const std::string& header_line,
     if (key == "id") {
       req.id = value;
     } else if (key == "k") {
-      req.k = static_cast<std::uint32_t>(parse_size(value, "k"));
+      req.k = parse_u32_field(value, "k", "bad_request: ");
     } else if (key == "balance") {
       req.balance = parse_double(value, "balance");
     } else if (key == "d") {
@@ -212,8 +225,14 @@ PartitionRequest parse_request(const std::string& header_line,
           "bad_request: request payload exceeds the %zu-byte limit",
           limits.max_payload_bytes));
   }
-  std::istringstream graph_in(payload);
-  req.graph = graph::read_hgr(graph_in);
+  // Every declared net needs a line of its own, so a header promising more
+  // nets than the payload holds is rejected before anything is decoded.
+  const graph::HgrHeader hgr = graph::read_hgr_header(payload);
+  if (hgr.num_nets > graph_lines - 1)
+    throw Error(strprintf(
+        "bad_request: .hgr header declares %zu nets in a %zu-line payload",
+        hgr.num_nets, graph_lines));
+  req.graph = graph::read_hgr(std::string_view(payload));
   expect_end_line(in, "REQUEST");
   return req;
 }
@@ -239,9 +258,17 @@ void write_response(const PartitionResponse& resp, std::ostream& out) {
       << " converged=" << (resp.eigen_converged ? 1 : 0)
       << " budget_exhausted=" << (resp.budget_exhausted ? 1 : 0)
       << " n=" << resp.assignment.size() << '\n';
-  out << "ASSIGN";
-  for (const std::uint32_t c : resp.assignment) out << ' ' << c;
-  out << '\n';
+  // The ASSIGN line is formatted into one buffer and written once: a space
+  // and at most 10 digits per id.
+  constexpr std::string_view kVerb = "ASSIGN";
+  std::string line(kVerb.size() + 11 * resp.assignment.size() + 1, '\0');
+  char* cursor = std::copy(kVerb.begin(), kVerb.end(), line.data());
+  for (const std::uint32_t c : resp.assignment) {
+    *cursor++ = ' ';
+    cursor = std::to_chars(cursor, line.data() + line.size(), c).ptr;
+  }
+  *cursor++ = '\n';
+  out.write(line.data(), cursor - line.data());
   out << "END\n";
 }
 
@@ -259,7 +286,7 @@ PartitionResponse parse_response(const std::string& header_line,
     } else if (key == "error") {
       resp.error = value;
     } else if (key == "k") {
-      resp.k = static_cast<std::uint32_t>(parse_size(value, "k"));
+      resp.k = parse_u32_field(value, "k", "protocol: ");
     } else if (key == "cut") {
       resp.cut = parse_double(value, "cut");
     } else if (key == "scaled_cost") {
@@ -296,7 +323,7 @@ PartitionResponse parse_response(const std::string& header_line,
   resp.assignment.reserve(n);
   for (std::size_t i = 1; i < tokens.size(); ++i)
     resp.assignment.push_back(
-        static_cast<std::uint32_t>(parse_size(tokens[i], "ASSIGN id")));
+        parse_u32_field(tokens[i], "ASSIGN id", "protocol: "));
   expect_end_line(in, "RESPONSE");
   return resp;
 }

@@ -56,12 +56,12 @@ void Hasher::mix_string(std::string_view s) {
   if (fill > 0) mix_u64(word);
 }
 
-void Hasher::mix_span(const std::vector<double>& v) {
+void Hasher::mix_span(std::span<const double> v) {
   mix_size(v.size());
   for (const double x : v) mix_double(x);
 }
 
-void Hasher::mix_span(const std::vector<std::uint32_t>& v) {
+void Hasher::mix_span(std::span<const std::uint32_t> v) {
   mix_size(v.size());
   // Pack two 32-bit words per absorbed 64-bit word.
   std::size_t i = 0;
@@ -71,7 +71,7 @@ void Hasher::mix_span(const std::vector<std::uint32_t>& v) {
   if (i < v.size()) mix_u64(v[i]);
 }
 
-void Hasher::mix_span(const std::vector<std::size_t>& v) {
+void Hasher::mix_span(std::span<const std::size_t> v) {
   mix_size(v.size());
   for (const std::size_t x : v) mix_size(x);
 }

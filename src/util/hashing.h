@@ -13,9 +13,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace specpart {
 
@@ -66,9 +66,9 @@ class Hasher {
   void mix_string(std::string_view s);
 
   /// Length-prefixed spans of trivially-hashable elements.
-  void mix_span(const std::vector<double>& v);
-  void mix_span(const std::vector<std::uint32_t>& v);
-  void mix_span(const std::vector<std::size_t>& v);
+  void mix_span(std::span<const double> v);
+  void mix_span(std::span<const std::uint32_t> v);
+  void mix_span(std::span<const std::size_t> v);
 
   Fingerprint digest() const;
 

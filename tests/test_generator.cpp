@@ -3,6 +3,7 @@
 // (intra-cluster nets dominate).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "graph/generator.h"
@@ -25,7 +26,8 @@ TEST(Generator, Deterministic) {
   const Hypergraph a = generate_netlist(small_config());
   const Hypergraph b = generate_netlist(small_config());
   ASSERT_EQ(a.num_nets(), b.num_nets());
-  for (NetId e = 0; e < a.num_nets(); ++e) EXPECT_EQ(a.net(e), b.net(e));
+  for (NetId e = 0; e < a.num_nets(); ++e)
+    EXPECT_TRUE(std::ranges::equal(a.net(e), b.net(e))) << "net " << e;
 }
 
 TEST(Generator, SeedChangesOutput) {
@@ -35,7 +37,7 @@ TEST(Generator, SeedChangesOutput) {
   const Hypergraph b = generate_netlist(cfg);
   bool any_diff = a.num_nets() != b.num_nets();
   for (NetId e = 0; !any_diff && e < a.num_nets(); ++e)
-    any_diff = a.net(e) != b.net(e);
+    any_diff = !std::ranges::equal(a.net(e), b.net(e));
   EXPECT_TRUE(any_diff);
 }
 

@@ -741,6 +741,65 @@ TEST(Protocol, OversizedStreamedPayloadIsRejectedMidRead) {
   }
 }
 
+TEST(Protocol, HeaderDeclaringMoreNetsThanPayloadLinesIsBadRequest) {
+  // Each declared net needs a payload line, so the bound is checked before
+  // decoding; a header that fits still decodes.
+  std::istringstream in("REQUEST id=x graph_lines=3\n3 4\n1 2\n3 4\nEND\n");
+  try {
+    read_request(in);
+    FAIL() << "a header promising 3 nets in 2 net lines must be rejected";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "bad_request: .hgr header declares 3 nets in a 3-line payload");
+  }
+  std::istringstream fits("REQUEST id=x graph_lines=3\n2 4\n1 2\n3 4\nEND\n");
+  const std::optional<PartitionRequest> parsed = read_request(fits);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->graph.num_nets(), 2u);
+}
+
+/// The Error message `read` throws on `text`, or "" if it does not throw.
+template <typename Read>
+std::string error_of(Read read, const std::string& text) {
+  std::istringstream in(text);
+  try {
+    read(in);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Protocol, RequestKAboveUint32IsBadRequestNotTruncated) {
+  // 4294967298 = 2^32 + 2 used to parse as k=2.
+  const auto read = [](std::istream& in) { return read_request(in); };
+  EXPECT_EQ(error_of(read, "REQUEST id=x k=4294967298 graph_lines=0\nEND\n"),
+            "bad_request: k=4294967298 exceeds the 32-bit limit 4294967295");
+  std::istringstream at_limit(
+      "REQUEST id=x k=4294967295 graph_lines=2\n1 2\n1 2\nEND\n");
+  EXPECT_EQ(read_request(at_limit)->k, 4294967295u);
+}
+
+TEST(Protocol, ResponseKAboveUint32IsRejectedNotTruncated) {
+  const auto read = [](std::istream& in) { return read_response(in); };
+  EXPECT_EQ(error_of(read,
+                     "RESPONSE id=r status=ok k=4294967296 n=1\n"
+                     "ASSIGN 0\nEND\n"),
+            "protocol: k=4294967296 exceeds the 32-bit limit 4294967295");
+}
+
+TEST(Protocol, AssignIdAboveUint32IsRejectedNotTruncated) {
+  const auto read = [](std::istream& in) { return read_response(in); };
+  EXPECT_EQ(error_of(read,
+                     "RESPONSE id=r status=ok k=2 n=2\n"
+                     "ASSIGN 1 4294967296\nEND\n"),
+            "protocol: ASSIGN id=4294967296 exceeds the 32-bit limit "
+            "4294967295");
+  std::istringstream at_limit(
+      "RESPONSE id=r status=ok k=2 n=2\nASSIGN 1 4294967295\nEND\n");
+  EXPECT_EQ(read_response(at_limit)->assignment.back(), 4294967295u);
+}
+
 TEST(Protocol, DefaultLimitsAdmitNormalRequests) {
   const PartitionRequest req = make_request();
   std::ostringstream frame;
