@@ -7,14 +7,17 @@
 //   $ ./bench_report_tool --out BENCH_kernels.json [--scale 1.0] [--threads 8]
 //
 // On a single-core host the "parallel" numbers measure pure threading
-// overhead (speedup <= 1.0 is expected); the host core count is recorded in
-// the JSON metadata so the baseline is interpretable either way.
+// overhead (speedup <= 1.0 is expected); the host core count (the CPUs
+// this process may run on) and the kernel clone that ran (util/simd.h) are
+// recorded in the JSON metadata so the baseline is interpretable either way.
+#include <sched.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,6 +42,7 @@
 #include "util/cli.h"
 #include "util/error.h"
 #include "util/parallel.h"
+#include "util/simd.h"
 #include "util/timer.h"
 
 using namespace specpart;
@@ -99,6 +103,26 @@ core::VectorInstance make_vectors(const graph::Hypergraph& h, std::size_t d) {
                                      core::default_h(basis));
 }
 
+/// CPUs this process may run on (its affinity mask), which can be fewer
+/// than std::thread::hardware_concurrency() counts.
+std::size_t host_cpus() {
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0)
+    return static_cast<std::size_t>(CPU_COUNT(&set));
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+/// True when the host object of the JSON at `path` records `isa`.
+bool host_records_isa(const std::string& path, const char* isa) {
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line))
+    if (line.find("\"host\":") != std::string::npos)
+      return line.find(std::string("\"isa\": \"") + isa + "\"") !=
+             std::string::npos;
+  return false;
+}
+
 /// Median-of-3 wall-clock seconds of `fn()`.
 template <class Fn>
 double time_median(Fn&& fn) {
@@ -123,7 +147,8 @@ int main(int argc, char** argv) {
                "parallel thread count (0 = min(8, 2 x hardware cores))");
   cli.add_flag("smoke", "false",
                "CI sanity mode: run only the eigensolver rows at reduced "
-               "size, then fail unless the lanczos and multilevel rows "
+               "size, then fail unless the host object records the kernel "
+               "isa, the lanczos and multilevel rows "
                "carry every counter field (converged pairs, "
                "flops_per_pair, bytes_per_pair), all nonzero, the "
                "multilevel row reports a live hierarchy (levels, "
@@ -136,8 +161,8 @@ int main(int argc, char** argv) {
     const bool smoke = cli.get_bool("smoke");
     const double scale =
         smoke ? std::min(cli.get_double("scale"), 0.3) : cli.get_double("scale");
-    const std::size_t cores =
-        std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    const std::size_t cores = host_cpus();
+    const char* isa = simd::isa_name(simd::active_isa());
     std::size_t threads = static_cast<std::size_t>(cli.get_int("threads"));
     if (threads == 0) threads = std::min<std::size_t>(8, 2 * cores);
     const ParallelConfig serial;
@@ -508,8 +533,10 @@ int main(int argc, char** argv) {
     SP_CHECK_INPUT(f != nullptr, "cannot open --out file " + out);
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"schema\": \"specpart-bench-kernels-v2\",\n");
-    std::fprintf(f, "  \"host\": {\"cores\": %zu, \"parallel_threads\": %zu},\n",
-                 cores, threads);
+    std::fprintf(f,
+                 "  \"host\": {\"cores\": %zu, \"parallel_threads\": %zu, "
+                 "\"isa\": \"%s\"},\n",
+                 cores, threads, isa);
     std::fprintf(f, "  \"scale\": %g,\n", scale);
     std::fprintf(f, "  \"kernels\": [\n");
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -570,9 +597,18 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
-    std::printf("wrote %s (host: %zu core(s))\n", out.c_str(), cores);
+    std::printf("wrote %s (host: %zu core(s), %s kernels)\n", out.c_str(),
+                cores, isa);
 
     if (smoke) {
+      // Timings mean little without the clone that produced them.
+      if (!host_records_isa(out, isa)) {
+        std::fprintf(stderr,
+                     "bench_report_tool: --smoke: host object of %s does not "
+                     "record \"isa\": \"%s\"\n",
+                     out.c_str(), isa);
+        return 1;
+      }
       // CI gate: the eigensolver rows must carry live counters. A zero
       // here means the solver stopped reporting its algorithmic cost and
       // the committed baseline would silently rot.
@@ -655,11 +691,13 @@ int main(int argc, char** argv) {
                      "degenerate\n");
         return 1;
       }
-      std::printf("smoke: counter fields present and nonzero on the "
-                  "lanczos and multilevel rows, multilevel hierarchy live "
+      std::printf("smoke: host isa recorded (%s), counter fields present "
+                  "and nonzero on the lanczos and multilevel rows, "
+                  "multilevel hierarchy live "
                   "(levels/coarsening_ratio/per_level), tier-2 disk-warm "
                   "read bit-identical and faster than cold, sweep-cut phi "
-                  "beat the FM split\n");
+                  "beat the FM split\n",
+                  isa);
     }
     return 0;
   } catch (const Error& e) {

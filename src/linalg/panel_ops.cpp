@@ -62,7 +62,9 @@ std::size_t panel_qr_cgs2(Panel& x, double breakdown_tol,
           const double c = dot(xj, xk);
           if (c == 0.0) continue;
           parallel_for(par, 0, n, [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t r = lo; r < hi; ++r) xk[r] += -c * xj[r];
+            simd::run([&] {
+              for (std::size_t r = lo; r < hi; ++r) xk[r] += -c * xj[r];
+            });
           });
         }
       flops += 8ull * n * k;
@@ -93,16 +95,18 @@ void panel_rotate(const Panel& a, const DenseMatrix& u, Panel& out,
   SP_ASSERT(u.rows() == k && out.rows() == a.rows() && out.cols() == k2);
   const double* ud = u.data();
   parallel_for(par, 0, a.rows(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t r = lo; r < hi; ++r) {
-      const double* ar = a.row(r);
-      double* orow = out.row(r);
-      std::fill_n(orow, k2, 0.0);
-      for (std::size_t j = 0; j < k; ++j) {
-        const double aj = ar[j];
-        const double* uj = ud + j * k2;
-        for (std::size_t c = 0; c < k2; ++c) orow[c] += aj * uj[c];
+    simd::run([&] {
+      for (std::size_t r = lo; r < hi; ++r) {
+        const double* ar = a.row(r);
+        double* orow = out.row(r);
+        std::fill_n(orow, k2, 0.0);
+        for (std::size_t j = 0; j < k; ++j) {
+          const double aj = ar[j];
+          const double* uj = ud + j * k2;
+          for (std::size_t c = 0; c < k2; ++c) orow[c] += aj * uj[c];
+        }
       }
-    }
+    });
   });
 }
 

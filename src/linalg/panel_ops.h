@@ -6,6 +6,7 @@
 #include "linalg/dense.h"
 #include "util/parallel.h"
 #include "util/rng.h"
+#include "util/simd.h"
 
 namespace specpart::linalg {
 
@@ -14,14 +15,17 @@ namespace specpart::linalg {
 // fixed-block primitives of util/parallel.h, whose block structure depends
 // only on n and the grain — never on the thread count — so 1, 2 and 8
 // threads produce the same bits. Reductions over the rows of a panel run
-// row-major (panel_column_sums); CGS2 runs on a column-major copy.
+// row-major (panel_column_sums); CGS2 runs on a column-major copy. The
+// row loops run under simd::run (util/simd.h): one source, a baseline and
+// an AVX2 clone, the same bits from either.
 
 /// Per-column sums over the rows of a row-major panel in one pass:
 /// add_row(r, partial) adds row r's term for every column c < width into
 /// partial[c]. Each fixed row block starts its partials at 0.0 and adds
 /// its rows in ascending order; block partials are added into zeroed
 /// totals in block order. Column c therefore gets exactly the sum a
-/// per-column parallel_reduce of the same terms would give.
+/// per-column parallel_reduce of the same terms would give. add_row is
+/// compiled into each block's clone.
 template <class AddRow>
 Vec panel_column_sums(std::size_t rows, std::size_t width,
                       const ParallelConfig& par, AddRow&& add_row) {
@@ -29,7 +33,9 @@ Vec panel_column_sums(std::size_t rows, std::size_t width,
       par, 0, rows, Vec(width, 0.0),
       [&](std::size_t lo, std::size_t hi) {
         Vec partial(width, 0.0);
-        for (std::size_t r = lo; r < hi; ++r) add_row(r, partial.data());
+        simd::run([&] {
+          for (std::size_t r = lo; r < hi; ++r) add_row(r, partial.data());
+        });
         return partial;
       },
       [width](Vec acc, Vec partial) {

@@ -16,6 +16,7 @@
 #include "linalg/csr.h"
 #include "linalg/dense.h"
 #include "util/parallel.h"
+#include "util/simd.h"
 
 namespace specpart::linalg {
 
@@ -72,10 +73,12 @@ class SymCsrMatrix {
   /// fixed-width chunks (16, then 8/4/2/1 for the remainder) whose sums
   /// live in local accumulators: each starts at 0.0 and adds a_ik * x_k[c]
   /// over the row's nonzeros in CSR order — matvec's operations in
-  /// matvec's order, so the result is bit-identical for any thread count.
-  /// Each chunk ends in one call
+  /// matvec's order, so the result is bit-identical for any thread count
+  /// and either kernel clone (each row block runs under simd::run,
+  /// util/simd.h). Each chunk ends in one call
   ///   store(i, c0, acc, count)   // acc[c] = (A X)(i, c0 + c), c < count
-  /// from whichever thread owns row i. The store may write row i of any
+  /// from whichever thread owns row i; the store is compiled into the
+  /// block's clone, so it gets AVX2 too. The store may write row i of any
   /// panel except `x` (for example over the previous iterate of a
   /// recurrence); it must never write `x`, whose rows other blocks are
   /// still reading.
@@ -126,36 +129,38 @@ void SymCsrMatrix::spmm_rows(const Panel& x, const ParallelConfig& par,
   const double* values = storage_.values.data();
   const double* xd = x.data();
   parallel_for(par, 0, n, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      // A compile-time width keeps acc in registers; b is a runtime value.
-      const auto chunk = [&](std::size_t c0, auto width) {
-        constexpr std::size_t kWidth = decltype(width)::value;
-        double acc[kWidth];
-        for (std::size_t c = 0; c < kWidth; ++c) acc[c] = 0.0;
-        for (std::size_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-          const double a = values[k];
-          const double* xk = xd + cols[k] * b + c0;
-          for (std::size_t c = 0; c < kWidth; ++c) acc[c] += a * xk[c];
+    simd::run([&] {  // the store is inlined into the block's clone
+      for (std::size_t i = lo; i < hi; ++i) {
+        // A compile-time width keeps acc in registers; b is a runtime value.
+        const auto chunk = [&](std::size_t c0, auto width) {
+          constexpr std::size_t kWidth = decltype(width)::value;
+          double acc[kWidth];
+          for (std::size_t c = 0; c < kWidth; ++c) acc[c] = 0.0;
+          for (std::size_t k = offsets[i]; k < offsets[i + 1]; ++k) {
+            const double a = values[k];
+            const double* xk = xd + cols[k] * b + c0;
+            for (std::size_t c = 0; c < kWidth; ++c) acc[c] += a * xk[c];
+          }
+          store(i, c0, acc, kWidth);
+        };
+        std::size_t c0 = 0;
+        for (; b - c0 >= 16; c0 += 16)
+          chunk(c0, std::integral_constant<std::size_t, 16>{});
+        if (b - c0 >= 8) {
+          chunk(c0, std::integral_constant<std::size_t, 8>{});
+          c0 += 8;
         }
-        store(i, c0, acc, kWidth);
-      };
-      std::size_t c0 = 0;
-      for (; b - c0 >= 16; c0 += 16)
-        chunk(c0, std::integral_constant<std::size_t, 16>{});
-      if (b - c0 >= 8) {
-        chunk(c0, std::integral_constant<std::size_t, 8>{});
-        c0 += 8;
+        if (b - c0 >= 4) {
+          chunk(c0, std::integral_constant<std::size_t, 4>{});
+          c0 += 4;
+        }
+        if (b - c0 >= 2) {
+          chunk(c0, std::integral_constant<std::size_t, 2>{});
+          c0 += 2;
+        }
+        if (b - c0 >= 1) chunk(c0, std::integral_constant<std::size_t, 1>{});
       }
-      if (b - c0 >= 4) {
-        chunk(c0, std::integral_constant<std::size_t, 4>{});
-        c0 += 4;
-      }
-      if (b - c0 >= 2) {
-        chunk(c0, std::integral_constant<std::size_t, 2>{});
-        c0 += 2;
-      }
-      if (b - c0 >= 1) chunk(c0, std::integral_constant<std::size_t, 1>{});
-    }
+    });
   });
 }
 

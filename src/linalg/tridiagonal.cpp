@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "util/error.h"
+#include "util/simd.h"
 
 namespace specpart::linalg {
 
@@ -20,13 +21,11 @@ void transpose_square(DenseMatrix& z) {
     for (std::size_t j = i + 1; j < n; ++j)
       std::swap(a[i * n + j], a[j * n + i]);
 }
-}  // namespace
 
-Tridiagonal householder_tridiagonalize(DenseMatrix a, DenseMatrix* accumulated) {
+/// EISPACK tred2 on the rows of `a` (see householder_tridiagonalize):
+/// fills d and e and leaves the accumulated transformation in `a`.
+void tred2_rows(DenseMatrix& a, Vec& d, Vec& e) {
   const std::size_t n = a.rows();
-  SP_ASSERT(a.cols() == n);
-  Vec d(n, 0.0);
-  Vec e(n, 0.0);
   // Row r of `a`, bounds-checked once per row access; column indices are
   // bounded by the loop limits below.
   double* const base = a.data();
@@ -121,29 +120,12 @@ Tridiagonal householder_tridiagonalize(DenseMatrix a, DenseMatrix* accumulated) 
       ai[j] = 0.0;
     }
   }
-
-  if (accumulated != nullptr) *accumulated = std::move(a);
-  return Tridiagonal{std::move(d), std::move(e)};
 }
 
-void tridiagonal_eigen(Tridiagonal& t, DenseMatrix& z) {
-  Vec& d = t.diag;
-  Vec& e = t.off;
+/// tql2's QL iterations and closing sort on the transpose of the
+/// eigenvector matrix (see tridiagonal_eigen); e is in the shifted layout.
+void tql2_rows(Vec& d, Vec& e, DenseMatrix& z) {
   const std::size_t n = d.size();
-  SP_ASSERT(e.size() == n);
-  SP_ASSERT(z.rows() == n && z.cols() == n);
-  if (n == 0) return;
-
-  // Shift the off-diagonal so e[i] couples rows i and i+1 (tql2 layout).
-  for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
-  e[n - 1] = 0.0;
-
-  // The rotations and the closing sort act on eigenvector columns; on the
-  // transpose each is a pass over two contiguous rows. Every element sees
-  // tql2's operations in tql2's order, so the bits match the column form,
-  // which stored bases and the golden response digests rely on.
-  transpose_square(z);
-
   constexpr double kEps = 1e-15;
   for (std::size_t l = 0; l < n; ++l) {
     int iter = 0;
@@ -213,6 +195,38 @@ void tridiagonal_eigen(Tridiagonal& t, DenseMatrix& z) {
                        z.data() + k * n);
     }
   }
+}
+
+}  // namespace
+
+Tridiagonal householder_tridiagonalize(DenseMatrix a, DenseMatrix* accumulated) {
+  const std::size_t n = a.rows();
+  SP_ASSERT(a.cols() == n);
+  Vec d(n, 0.0);
+  Vec e(n, 0.0);
+  simd::run([&] { tred2_rows(a, d, e); });
+  if (accumulated != nullptr) *accumulated = std::move(a);
+  return Tridiagonal{std::move(d), std::move(e)};
+}
+
+void tridiagonal_eigen(Tridiagonal& t, DenseMatrix& z) {
+  Vec& d = t.diag;
+  Vec& e = t.off;
+  const std::size_t n = d.size();
+  SP_ASSERT(e.size() == n);
+  SP_ASSERT(z.rows() == n && z.cols() == n);
+  if (n == 0) return;
+
+  // Shift the off-diagonal so e[i] couples rows i and i+1 (tql2 layout).
+  for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
+  e[n - 1] = 0.0;
+
+  // The rotations and the closing sort act on eigenvector columns; on the
+  // transpose each is a pass over two contiguous rows. Every element sees
+  // tql2's operations in tql2's order, so the bits match the column form,
+  // which stored bases and the golden response digests rely on.
+  transpose_square(z);
+  simd::run([&] { tql2_rows(d, e, z); });
   transpose_square(z);
 }
 

@@ -4,7 +4,9 @@
 // These are ports of the classic EISPACK tred2/tql2 algorithms; together
 // they provide an exact O(n^3) symmetric eigensolver used (a) directly for
 // small graphs and test oracles, and (b) inside Lanczos to diagonalize the
-// projected tridiagonal matrix.
+// projected tridiagonal matrix. Both loops run under simd::run
+// (util/simd.h): a baseline and an AVX2 clone of one source, the same bits
+// from either.
 #pragma once
 
 #include "linalg/dense.h"

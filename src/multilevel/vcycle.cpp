@@ -12,6 +12,7 @@
 #include "multilevel/coarsen.h"
 #include "util/fault.h"
 #include "util/rng.h"
+#include "util/simd.h"
 #include "util/timer.h"
 
 namespace specpart::multilevel {
@@ -96,7 +97,8 @@ double rayleigh_ritz(const SymCsrMatrix& l, Panel& x, std::size_t want,
 /// y1 stores the next iterate over the previous one, y0, row by row (y0 is
 /// never the SpMM operand), and the two swap. Columns are renormalized
 /// every 8 degrees against overflow (the growth factor per degree can
-/// exceed 1e2 when lo << hi).
+/// exceed 1e2 when lo << hi). The recurrence stores run inside spmm_rows'
+/// row blocks and the rescale under simd::run, so both get the AVX2 clone.
 void chebyshev_filter(const SymCsrMatrix& l, Panel& x, double lo, double hi,
                       std::size_t degree, const ParallelConfig& par,
                       Counters& c) {
@@ -143,14 +145,16 @@ void chebyshev_filter(const SymCsrMatrix& l, Panel& x, double lo, double hi,
         if (nrm > 0.0) inv[cc] = 1.0 / nrm;
       }
       parallel_for(par, 0, n, [&](std::size_t lo_r, std::size_t hi_r) {
-        for (std::size_t r = lo_r; r < hi_r; ++r) {
-          double* r1 = y1.row(r);
-          double* r0 = y0.row(r);
-          for (std::size_t cc = 0; cc < w; ++cc) {
-            r1[cc] *= inv[cc];
-            r0[cc] *= inv[cc];
+        simd::run([&] {
+          for (std::size_t r = lo_r; r < hi_r; ++r) {
+            double* r1 = y1.row(r);
+            double* r0 = y0.row(r);
+            for (std::size_t cc = 0; cc < w; ++cc) {
+              r1[cc] *= inv[cc];
+              r0[cc] *= inv[cc];
+            }
           }
-        }
+        });
       });
       c.flops += 6ull * n * w;
     }

@@ -96,6 +96,7 @@ std::vector<std::pair<std::string, double>> MetricsSnapshot::key_values()
       {"queue_depth", static_cast<double>(queue_depth)},
       {"queue_peak", static_cast<double>(queue_peak)},
       {"workers", static_cast<double>(workers)},
+      {"kernel_avx2", kernel_avx2 ? 1.0 : 0.0},
       {"cache_lookups", static_cast<double>(cache_lookups)},
       {"cache_hits", static_cast<double>(cache_hits)},
       {"cache_prefix_hits", static_cast<double>(cache_prefix_hits)},

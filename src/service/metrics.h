@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "util/simd.h"
+
 namespace specpart::service {
 
 /// Fixed-bucket latency histogram. Bucket i counts samples in
@@ -122,6 +124,9 @@ struct MetricsSnapshot {
   std::size_t queue_depth = 0;
   std::size_t queue_peak = 0;
   std::size_t workers = 0;
+  /// The kernel clone the eigensolvers run (util/simd.h): the gauge
+  /// kernel_avx2 reads 1 for AVX2 and 0 for the baseline clone.
+  bool kernel_avx2 = simd::active_isa() == simd::Isa::kAvx2;
 
   /// Requests carrying a non-default objective model (normalized
   /// Laplacian / conductance objective). Emitted in key_values() and the

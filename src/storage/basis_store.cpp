@@ -266,9 +266,11 @@ std::optional<BasisHeader> read_basis_header(const std::string& path) {
 
   if (out.n == 0 || out.d == 0 || out.chunk_cols == 0) return std::nullopt;
   // Guard the size product before trusting it (a corrupt header must not
-  // drive a multi-terabyte allocation downstream).
-  if (out.d > (1ull << 32) || out.n > (1ull << 40) ||
-      out.n * out.d > (1ull << 40))
+  // drive a multi-terabyte allocation downstream). Every bound is checked
+  // without wrapping: n * d by division, and chunk_cols like d, so that
+  // num_chunks cannot wrap to zero and skip the chunk checksums.
+  if (out.d > (1ull << 32) || out.chunk_cols > (1ull << 32) ||
+      out.n > (1ull << 40) / out.d)
     return std::nullopt;
 
   std::error_code ec;

@@ -7,7 +7,8 @@
 // (this binary also runs as test_multilevel_mt under SPECPART_THREADS=8,
 // making the "auto" lane below an 8-thread lane), plus bit-for-bit
 // differential tests of the V-cycle's panel kernels against test-local
-// copies of the strided code they replaced.
+// copies of the strided code they replaced, and of the kernels' AVX2 clone
+// against their baseline clone (util/simd.h).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,6 +20,7 @@
 #include "graph/graph.h"
 #include "graph/hypergraph.h"
 #include "graph/laplacian.h"
+#include "linalg/lanczos.h"
 #include "linalg/panel_ops.h"
 #include "linalg/symmetric_eigen.h"
 #include "model/assembly.h"
@@ -28,6 +30,7 @@
 #include "spectral/embedding.h"
 #include "util/fault.h"
 #include "util/rng.h"
+#include "util/simd.h"
 
 namespace specpart::multilevel {
 namespace {
@@ -495,6 +498,101 @@ TEST(PanelOps, Cgs2RestartPathMatchesReferenceBitForBit) {
           x, par, "n=" + std::to_string(n) + " threads=" +
                       std::to_string(threads));
     }
+  }
+}
+
+bool same_bits(const Vec& a, const Vec& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool same_bits(const DenseMatrix& a, const DenseMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     a.rows() * a.cols() * sizeof(double)) == 0;
+}
+
+void expect_same_solve(const linalg::LanczosResult& got,
+                       const linalg::LanczosResult& want,
+                       const std::string& what) {
+  EXPECT_TRUE(same_bits(got.values, want.values)) << what;
+  EXPECT_TRUE(same_bits(got.vectors, want.vectors)) << what;
+  EXPECT_EQ(got.iterations, want.iterations) << what;
+  EXPECT_EQ(got.num_converged, want.num_converged) << what;
+  EXPECT_EQ(got.flops, want.flops) << what;
+}
+
+/// {fn() on the clone the host dispatches to, fn() on the baseline clone}.
+template <class Fn>
+auto on_both_clones(Fn&& fn) {
+  auto dispatched = fn();
+  const simd::ScopedBaseline baseline;
+  return std::pair{std::move(dispatched), fn()};
+}
+
+TEST(KernelIsa, Avx2CloneMatchesBaselineBitForBit) {
+  // CI runners have AVX2, so this is the only test that runs the baseline
+  // clone there. Inputs: the Cache.ColdBasisGoldenDigests netlists
+  // (tests/test_service.cpp; n=700 coarsens once, n=2000 three times) at
+  // an 18- and a 32-wide panel, flat Lanczos, a dense solve and both SpMM
+  // chunk widths. Serial in test_multilevel; 8 threads in
+  // test_multilevel_mt, where the blocks run on pool workers.
+  if (simd::active_isa() != simd::Isa::kAvx2)
+    GTEST_SKIP() << "the host CPU has no AVX2, so only the baseline clone "
+                    "can run here";
+  {
+    const simd::ScopedBaseline baseline;
+    ASSERT_EQ(simd::active_isa(), simd::Isa::kBaseline);
+  }
+  ASSERT_EQ(simd::active_isa(), simd::Isa::kAvx2);
+
+  const auto golden_laplacian = [](std::size_t modules) {
+    graph::GeneratorConfig cfg;
+    cfg.num_modules = modules;
+    cfg.num_nets = modules + modules / 3;
+    cfg.num_clusters = 4;
+    cfg.seed = 7;
+    return graph::build_laplacian(
+        model::clique_expand(graph::generate_netlist(cfg),
+                             model::NetModel::kPartitioningSpecific));
+  };
+  const SymCsrMatrix q700 = golden_laplacian(700);
+  const SymCsrMatrix q2000 = golden_laplacian(2000);
+
+  const ParallelConfig par =
+      ParallelConfig::with_threads(env_threads() == 0 ? 1 : 0);
+  for (const SymCsrMatrix* q : {&q700, &q2000})
+    for (const std::size_t count : {9, 16}) {
+      const auto [avx2, baseline] = on_both_clones([&] {
+        return multilevel_solve_smallest(*q, count, 0x3E10ULL, par);
+      });
+      expect_same_solve(avx2, baseline,
+                        "vcycle n=" + std::to_string(q->size()) +
+                            " count=" + std::to_string(count));
+    }
+
+  linalg::LanczosOptions lopts;
+  lopts.num_eigenpairs = 9;
+  lopts.parallel = par;
+  const auto [lanczos_avx2, lanczos_baseline] =
+      on_both_clones([&] { return linalg::lanczos_smallest(q700, lopts); });
+  expect_same_solve(lanczos_avx2, lanczos_baseline, "lanczos n=700 count=9");
+
+  const auto [dense_avx2, dense_baseline] = on_both_clones([] {
+    return linalg::solve_symmetric_eigen(
+        random_laplacian(400, 1200, 0xD15EULL).to_dense());
+  });
+  EXPECT_TRUE(same_bits(dense_avx2.values, dense_baseline.values));
+  EXPECT_TRUE(same_bits(dense_avx2.vectors, dense_baseline.vectors));
+
+  for (const std::size_t width : {10, 16}) {
+    const Panel x = random_panel(q2000.size(), width, width);
+    const auto [y_avx2, y_baseline] = on_both_clones([&] {
+      Panel y(x.rows(), width);
+      q2000.spmm(x, y, par);
+      return y;
+    });
+    EXPECT_TRUE(same_bits(y_avx2, y_baseline)) << "spmm width=" << width;
   }
 }
 

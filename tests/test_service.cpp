@@ -22,6 +22,7 @@
 #include "service/service.h"
 #include "util/error.h"
 #include "util/hashing.h"
+#include "util/simd.h"
 #include "util/stringutil.h"
 
 namespace specpart::service {
@@ -921,6 +922,14 @@ TEST(Metrics, SnapshotCountsByStatusAndRendersPercentiles) {
 
   // The wire frame and the text rendering derive from one flattening.
   EXPECT_FALSE(s.key_values().empty());
+  // One gauge names the kernel clone the eigensolvers run.
+  std::size_t isa_keys = 0;
+  for (const auto& [key, value] : s.key_values())
+    if (key == "kernel_avx2") {
+      ++isa_keys;
+      EXPECT_EQ(value, simd::active_isa() == simd::Isa::kAvx2 ? 1.0 : 0.0);
+    }
+  EXPECT_EQ(isa_keys, 1u);
 }
 
 TEST(Service, RestartServesWarmFromDiskTierByteIdentically) {

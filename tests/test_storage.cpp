@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -173,6 +174,46 @@ TEST(BasisFile, FlippedByteFailsTheChunkChecksum) {
   // ...but a hyperslab that stops before the corrupt chunk still serves.
   const spectral::EigenBasis r = read_basis_columns(path, 4);
   EXPECT_EQ(r.dimension(), 4u);
+}
+
+/// Overwrites the u64 header field at `offset` of the basis file at `path`
+/// and re-seals the header checksum (over bytes [0, 120), stored at 120),
+/// as a crafted file would.
+void set_header_field(const std::string& path, std::size_t offset,
+                      std::uint64_t value) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  char h[128];
+  f.read(h, sizeof(h));
+  std::memcpy(h + offset, &value, 8);
+  const std::uint64_t sum = checksum64(h, 120);
+  std::memcpy(h + 120, &sum, 8);
+  f.seekp(0);
+  f.write(h, sizeof(h));
+}
+
+TEST(BasisFile, HeaderRejectsSizeFieldsThatWrap) {
+  TempDir dir("wrap");
+  fs::create_directories(dir.path());
+  const std::string path = dir.path() + "/a.eb";
+
+  // chunk_cols near 2^64 wraps num_chunks to zero. With the file cut to
+  // the size that implies, a header check that trusted it would pass, and
+  // the read would return all-zero columns without reading or verifying a
+  // single chunk.
+  write_basis_file(path, make_key(3), make_basis(19, 6, 3), "scalar", "flat");
+  set_header_field(path, 32, ~0ull);
+  fs::resize_file(path, kHeaderBytes + 8 * 6 + 8 * 19 * 6);
+  EXPECT_FALSE(read_basis_header(path).has_value());
+  EXPECT_THROW(read_basis_columns(path, 0), Error);
+
+  // n = 2^40 times d = 2^24 is 2^64, which wraps to 0 and so passes a
+  // guard on the computed product n * d <= 2^40. The file is extended
+  // (sparsely) to the wrapped size, so only the guard can reject it.
+  write_basis_file(path, make_key(4), make_basis(19, 6, 4), "scalar", "flat");
+  set_header_field(path, 16, 1ull << 40);
+  set_header_field(path, 24, 1ull << 24);
+  fs::resize_file(path, kHeaderBytes + 8 * (1ull << 24) + 8 * (1ull << 22));
+  EXPECT_FALSE(read_basis_header(path).has_value());
 }
 
 TEST(StoreIndex, StoreLoadAndRebuildOnOpen) {
