@@ -72,9 +72,10 @@ struct KernelResult {
   bool has_conductance = false;
   double sweep_phi = 0.0;
   double fm_phi = 0.0;
-  // The melo_exact row reports the exact scan's key evaluations (a full
-  // scan would do n (n - 1) / 2); 0 = not reported.
+  // The melo_exact rows report the exact scan's key evaluations (a full
+  // scan would do n (n - 1) / 2) and snapshots; 0 = not reported.
   std::uint64_t key_evaluations = 0;
+  std::uint64_t reranks = 0;
 };
 
 void attach_counters(KernelResult& r, const linalg::LanczosResult& solve) {
@@ -93,14 +94,39 @@ graph::Hypergraph make_netlist(std::size_t modules) {
   return graph::generate_netlist(cfg);
 }
 
-core::VectorInstance make_vectors(const graph::Hypergraph& h, std::size_t d) {
-  const graph::Graph g =
-      model::clique_expand(h, model::NetModel::kPartitioningSpecific);
+spectral::EigenBasis make_basis(const graph::Graph& g, std::size_t d) {
   spectral::EmbeddingOptions eo;
   eo.count = d;
-  const spectral::EigenBasis basis = spectral::compute_eigenbasis(g, eo);
+  return spectral::compute_eigenbasis(g, eo);
+}
+
+core::VectorInstance make_vectors(const spectral::EigenBasis& basis) {
   return core::build_scaled_instance(basis, core::CoordScaling::kSqrtGap,
                                      core::default_h(basis));
+}
+
+graph::Graph clique_graph(const graph::Hypergraph& h) {
+  return model::clique_expand(h, model::NetModel::kPartitioningSpecific);
+}
+
+/// The service's H readjustment (core::melo_orderings): when half the
+/// vertices are chosen, H is re-estimated from their E(C) and the sqrt_gap
+/// instance rebuilt.
+core::MeloReadjust service_readjust(const graph::Graph& g,
+                                    const spectral::EigenBasis& basis) {
+  core::MeloReadjust readjust;
+  readjust.at = g.num_nodes() / 2;
+  readjust.rebuild = [&g, &basis](const std::vector<graph::NodeId>& members) {
+    std::vector<char> in(g.num_nodes(), 0);
+    for (graph::NodeId v : members) in[v] = 1;
+    double degree = 0.0;
+    for (const graph::Edge& e : g.edges())
+      if (in[e.u] != in[e.v]) degree += e.weight;
+    return core::build_scaled_instance(
+        basis, core::CoordScaling::kSqrtGap,
+        core::readjusted_h(basis, members, degree));
+  };
+  return readjust;
 }
 
 /// CPUs this process may run on (its affinity mask), which can be fewer
@@ -123,17 +149,17 @@ bool host_records_isa(const std::string& path, const char* isa) {
   return false;
 }
 
-/// Median-of-3 wall-clock seconds of `fn()`.
+/// Median wall-clock seconds of `runs` calls of `fn()`.
 template <class Fn>
-double time_median(Fn&& fn) {
+double time_median(Fn&& fn, int runs = 3) {
   std::vector<double> samples;
-  for (int rep = 0; rep < 3; ++rep) {
+  for (int rep = 0; rep < runs; ++rep) {
     Timer t;
     fn();
     samples.push_back(t.seconds());
   }
   std::sort(samples.begin(), samples.end());
-  return samples[1];
+  return samples[samples.size() / 2];
 }
 
 }  // namespace
@@ -146,9 +172,11 @@ int main(int argc, char** argv) {
   cli.add_flag("threads", "0",
                "parallel thread count (0 = min(8, 2 x hardware cores))");
   cli.add_flag("smoke", "false",
-               "CI sanity mode: run only the eigensolver rows at reduced "
+               "CI sanity mode: run the warm-size melo_exact row and the "
+               "eigensolver rows at reduced "
                "size, then fail unless the host object records the kernel "
-               "isa, the lanczos and multilevel rows "
+               "isa, the melo_exact row reports nonzero key_evaluations "
+               "and reranks, the lanczos and multilevel rows "
                "carry every counter field (converged pairs, "
                "flops_per_pair, bytes_per_pair), all nonzero, the "
                "multilevel row reports a live hierarchy (levels, "
@@ -174,15 +202,41 @@ int main(int argc, char** argv) {
     };
     std::vector<KernelResult> results;
 
+    {
+      // The warm_mix ordering: n=1000, d=10, sqrt_gap, with the service's
+      // H readjust at n/2. About a millisecond, so the median of 15 runs.
+      const std::size_t n = scaled(1000);
+      const graph::Hypergraph h = make_netlist(n);
+      const graph::Graph g = clique_graph(h);
+      const spectral::EigenBasis basis = make_basis(g, 10);
+      const core::VectorInstance inst = make_vectors(basis);
+      const core::MeloReadjust readjust = service_readjust(g, basis);
+      core::MeloOrderingOptions opts;
+      KernelResult r{"melo_exact", "n=" + std::to_string(n) +
+                                       " d=10 readjust=n/2"};
+      core::MeloOrderingStats stats;
+      core::melo_order_vectors(inst, opts, &readjust, &stats);
+      r.key_evaluations = stats.key_evaluations;
+      r.reranks = stats.reranks;
+      opts.parallel = serial;
+      r.serial_seconds = time_median(
+          [&] { core::melo_order_vectors(inst, opts, &readjust); }, 15);
+      opts.parallel = par;
+      r.parallel_seconds = time_median(
+          [&] { core::melo_order_vectors(inst, opts, &readjust); }, 15);
+      results.push_back(r);
+    }
+
     if (!smoke) {
       const std::size_t n = scaled(5000);
-      const graph::Hypergraph h = make_netlist(n);
-      const core::VectorInstance inst = make_vectors(h, 10);
+      const core::VectorInstance inst =
+          make_vectors(make_basis(clique_graph(make_netlist(n)), 10));
       core::MeloOrderingOptions opts;
       KernelResult r{"melo_exact", "n=" + std::to_string(n) + " d=10"};
       core::MeloOrderingStats stats;
       core::melo_order_vectors(inst, opts, nullptr, &stats);
       r.key_evaluations = stats.key_evaluations;
+      r.reranks = stats.reranks;
       opts.parallel = serial;
       r.serial_seconds =
           time_median([&] { core::melo_order_vectors(inst, opts); });
@@ -561,8 +615,9 @@ int main(int argc, char** argv) {
         std::fprintf(f, ", \"sweep_phi\": %.6f, \"fm_phi\": %.6f",
                      r.sweep_phi, r.fm_phi);
       if (r.key_evaluations > 0)
-        std::fprintf(f, ", \"key_evaluations\": %llu",
-                     static_cast<unsigned long long>(r.key_evaluations));
+        std::fprintf(f, ", \"key_evaluations\": %llu, \"reranks\": %llu",
+                     static_cast<unsigned long long>(r.key_evaluations),
+                     static_cast<unsigned long long>(r.reranks));
       if (r.has_multilevel) {
         std::fprintf(f, ", \"levels\": %zu, \"coarsening_ratio\": %.2f",
                      r.levels, r.coarsening_ratio);
@@ -591,8 +646,9 @@ int main(int argc, char** argv) {
       if (r.has_conductance)
         std::printf("   phi sweep %.4f vs fm %.4f", r.sweep_phi, r.fm_phi);
       if (r.key_evaluations > 0)
-        std::printf("   %llu key evaluations",
-                    static_cast<unsigned long long>(r.key_evaluations));
+        std::printf("   %llu key evaluations, %llu reranks",
+                    static_cast<unsigned long long>(r.key_evaluations),
+                    static_cast<unsigned long long>(r.reranks));
       std::printf("\n");
     }
     std::fprintf(f, "  ]\n}\n");
@@ -677,6 +733,18 @@ int main(int argc, char** argv) {
                      "missing or degenerate\n");
         return 1;
       }
+      // The warm-size melo_exact row must report live work counters: a
+      // zero means the exact scan stopped counting (or stopped running).
+      bool melo_ok = false;
+      for (const KernelResult& r : results)
+        if (r.name == "melo_exact")
+          melo_ok = r.key_evaluations > 0 && r.reranks > 0;
+      if (!melo_ok) {
+        std::fprintf(stderr,
+                     "bench_report_tool: --smoke: melo_exact row missing or "
+                     "with a zero counter (key_evaluations, reranks)\n");
+        return 1;
+      }
       // The sweep_cut row's quality contract (sweep phi <= FM phi, both
       // positive) is enforced inline above; here only its presence can
       // regress.
@@ -694,7 +762,8 @@ int main(int argc, char** argv) {
       std::printf("smoke: host isa recorded (%s), counter fields present "
                   "and nonzero on the lanczos and multilevel rows, "
                   "multilevel hierarchy live "
-                  "(levels/coarsening_ratio/per_level), tier-2 disk-warm "
+                  "(levels/coarsening_ratio/per_level), melo_exact "
+                  "counters nonzero, tier-2 disk-warm "
                   "read bit-identical and faster than cold, sweep-cut phi "
                   "beat the FM split\n",
                   isa);

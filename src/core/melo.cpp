@@ -1,7 +1,10 @@
 #include "core/melo.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 
@@ -98,6 +101,7 @@ class MeloState {
     sum_norm_sq_ = linalg::norm_sq(sum_);
   }
 
+  const double* row(graph::NodeId v) const { return flat_.data() + v * d_; }
   double row_norm_sq(graph::NodeId v) const { return norms_sq_[v]; }
   SelectionRule scheme() const { return scheme_; }
   std::size_t dimension() const { return d_; }
@@ -105,8 +109,6 @@ class MeloState {
   double sum_norm_sq() const { return sum_norm_sq_; }
 
  private:
-  const double* row(graph::NodeId v) const { return flat_.data() + v * d_; }
-
   void load(const VectorInstance& inst) {
     const std::size_t n = inst.size();
     const double* data = inst.vectors.data();
@@ -170,6 +172,11 @@ graph::NodeId pick_start(const MeloState& state, std::size_t start_rank,
 /// themselves. A vertex is evaluated only when its bound is not below the
 /// best (key, smallest id) found so far, so the winner is the exact argmax
 /// with the same tie rule as a full scan.
+///
+/// a_v, b_v, the drift multiplier w_v = a_v (||y_v|| + norm floor) and the
+/// class (the binade of w_v) depend only on the rows, so they are fixed per
+/// load (load_terms); a snapshot computes only the dots and orders each
+/// class by its static part.
 class PrunedScan {
  public:
   PrunedScan(const MeloState& state, const std::vector<char>& chosen,
@@ -183,35 +190,89 @@ class PrunedScan {
                           -52)),
         // sqrt(d) 2^-537 bounds a norm whose squares all underflowed.
         norm_floor_(std::ldexp(
-            std::sqrt(static_cast<double>(state.dimension())), -537)) {}
+            std::sqrt(static_cast<double>(state.dimension())), -537)) {
+    load_terms();
+  }
+
+  /// Recomputes the per-row terms and the classes from the state's rows:
+  /// at construction and after an H-readjust reload.
+  void load_terms() {
+    const std::size_t n = state_.size();
+    terms_.resize(n);
+    std::vector<int> binade(n);
+    for (graph::NodeId v = 0; v < n; ++v) {
+      const double y_sq = state_.row_norm_sq(v);
+      const double y_norm = std::sqrt(y_sq);
+      Terms& t = terms_[v];
+      t.a = 1.0;
+      t.b = 0.0;
+      switch (state_.scheme()) {
+        case SelectionRule::kMagnitude:
+          t.a = 2.0;
+          t.b = y_sq;
+          break;
+        case SelectionRule::kProjection:
+          break;
+        case SelectionRule::kCosine:
+          if (y_norm <= 1e-300) {
+            // key() is -inf: evaluated only on a tie. a g + b is then
+            // -inf for every finite g, and so is the bound.
+            t.a = 0.0;
+            t.b = -std::numeric_limits<double>::infinity();
+            t.w = 0.0;
+            binade[v] = std::numeric_limits<int>::min();
+            continue;
+          }
+          t.a = 1.0 / y_norm;
+          break;
+      }
+      t.w = t.a * (y_norm + norm_floor_);
+      binade[v] = std::ilogb(t.w);
+    }
+    // Classes by binade, largest first, each in ascending id: the order
+    // the snapshot's stable per-class sort relies on. A stable sort of the
+    // ids, so nothing is sized by the binade range (a zero row's binade is
+    // INT_MIN).
+    members_.resize(n);
+    std::iota(members_.begin(), members_.end(), 0u);
+    std::stable_sort(members_.begin(), members_.end(),
+                     [&](graph::NodeId x, graph::NodeId y) {
+                       return binade[x] > binade[y];
+                     });
+    class_ends_.clear();
+    for (std::size_t i = 1; i <= n; ++i)
+      if (i == n || binade[members_[i]] != binade[members_[i - 1]])
+        class_ends_.push_back(i);
+  }
 
   /// Re-ranks the unchosen vertices against the current subset sum.
   void snapshot() {
     ++stats.reranks;
     snap_ = state_.sum();
     snap_norm_ = std::sqrt(state_.sum_norm_sq());
+    // Drops the vertices chosen since the last snapshot from members_ on
+    // the way (order kept), so each snapshot reads only live rows.
     entries_.clear();
-    for (graph::NodeId v = 0; v < chosen_.size(); ++v)
-      if (!chosen_[v]) entries_.push_back(Entry{0.0, 0.0, v, 0});
-    parallel_for(parallel_, 0, entries_.size(),
-                 [&](std::size_t lo, std::size_t hi) {
-                   for (std::size_t r = lo; r < hi; ++r) fill(entries_[r]);
-                 });
-    // Classes by the binade of w, largest first; inside a class the bound
-    // falls with the static part, so a walk can cut the whole tail.
-    std::sort(entries_.begin(), entries_.end(),
-              [](const Entry& x, const Entry& y) {
-                if (x.binade != y.binade) return x.binade > y.binade;
-                if (x.hi != y.hi) return x.hi > y.hi;
-                return x.v < y.v;
-              });
     classes_.clear();
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      if (i == 0 || entries_[i].binade != entries_[i - 1].binade)
-        classes_.push_back(Class{i, i, 0.0});
-      classes_.back().end = i + 1;
-      classes_.back().w_max = std::max(classes_.back().w_max, entries_[i].w);
+    std::size_t member = 0;
+    for (std::size_t& end : class_ends_) {
+      const std::size_t begin = entries_.size();
+      double w_max = 0.0;
+      for (; member < end; ++member) {
+        const graph::NodeId v = members_[member];
+        if (chosen_[v]) continue;
+        members_[entries_.size()] = v;
+        entries_.push_back(Entry{0.0, terms_[v].w, v});
+        w_max = std::max(w_max, terms_[v].w);
+      }
+      end = entries_.size();
+      if (end > begin) classes_.push_back(Class{begin, end, w_max});
     }
+    parallel_for(parallel_, 0, entries_.size(),
+                 [&](std::size_t lo, std::size_t hi) { bound(lo, hi); });
+    // Inside a class the bound falls with the static part, so a walk can
+    // cut the whole tail.
+    for (const Class& cl : classes_) sort_class(cl.begin, cl.end);
   }
 
   /// The unchosen vertex with the largest key, smallest id among ties.
@@ -268,13 +329,18 @@ class PrunedScan {
   MeloOrderingStats stats;
 
  private:
+  /// Per-row terms of the bound, fixed per load.
+  struct Terms {
+    double a;
+    double b;
+    double w;
+  };
   /// One unchosen vertex: hi = a g + b plus its rounding allowance, w the
   /// drift multiplier a (||y|| + norm floor).
   struct Entry {
     double hi;
     double w;
     graph::NodeId v;
-    int binade;
   };
   struct Class {
     std::size_t begin;  // advances past entries chosen since the snapshot
@@ -285,34 +351,102 @@ class PrunedScan {
   /// Covers every underflow in the dot products and norms: far above
   /// their d 2^-1074 absolute errors, far below any key worth comparing.
   static constexpr double kUnderflowSlack = 0x1p-500;
+  /// Classes shorter than this are ordered by insertion sort.
+  static constexpr std::size_t kRadixCutoff = 64;
 
-  void fill(Entry& e) const {
-    const double g = state_.dot(e.v);
-    const double y_sq = state_.row_norm_sq(e.v);
-    const double y_norm = std::sqrt(y_sq);
-    double a = 1.0;
-    double b = 0.0;
-    switch (state_.scheme()) {
-      case SelectionRule::kMagnitude:
-        a = 2.0;
-        b = y_sq;
-        break;
-      case SelectionRule::kProjection:
-        break;
-      case SelectionRule::kCosine:
-        if (y_norm <= 1e-300) {  // key() is -inf: evaluated only on a tie
-          e.hi = -std::numeric_limits<double>::infinity();
-          e.w = 0.0;
-          e.binade = std::numeric_limits<int>::min();
-          return;
-        }
-        a = 1.0 / y_norm;
-        break;
+  /// hi of entries_[lo, hi): g = S_T . y_v four rows at a time, each in
+  /// its own accumulator summed in j order (MeloState::dot's bits).
+  void bound(std::size_t lo, std::size_t hi) {
+    const std::size_t d = state_.dimension();
+    const double* s = snap_.data();
+    std::size_t r = lo;
+    for (; r + 4 <= hi; r += 4) {
+      const double* y0 = state_.row(entries_[r].v);
+      const double* y1 = state_.row(entries_[r + 1].v);
+      const double* y2 = state_.row(entries_[r + 2].v);
+      const double* y3 = state_.row(entries_[r + 3].v);
+      double g0 = 0.0;
+      double g1 = 0.0;
+      double g2 = 0.0;
+      double g3 = 0.0;
+      for (std::size_t j = 0; j < d; ++j) {
+        g0 += s[j] * y0[j];
+        g1 += s[j] * y1[j];
+        g2 += s[j] * y2[j];
+        g3 += s[j] * y3[j];
+      }
+      set_hi(entries_[r], g0);
+      set_hi(entries_[r + 1], g1);
+      set_hi(entries_[r + 2], g2);
+      set_hi(entries_[r + 3], g3);
     }
-    const double ag = a * g;
-    e.hi = (ag + b) + gamma_ * (std::abs(ag) + b);
-    e.w = a * (y_norm + norm_floor_);
-    e.binade = std::ilogb(e.w);
+    // The subset sum is still S_T here, so dot() is g_v.
+    for (; r < hi; ++r) set_hi(entries_[r], state_.dot(entries_[r].v));
+  }
+
+  void set_hi(Entry& e, double g) const {
+    const Terms& t = terms_[e.v];
+    const double ag = t.a * g;
+    e.hi = (ag + t.b) + gamma_ * (std::abs(ag) + t.b);
+  }
+
+  /// Image of hi whose ascending unsigned order is descending hi, with
+  /// +0 and -0 one key (the comparator's ==).
+  static std::uint64_t descending_key(double hi) {
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(hi + 0.0);
+    const std::uint64_t ascending =
+        (bits >> 63) != 0 ? ~bits : bits | (std::uint64_t{1} << 63);
+    return ~ascending;
+  }
+
+  /// Orders entries_[begin, end) by descending hi. The entries arrive in
+  /// ascending id and both sorts are stable, so ties keep the smallest id
+  /// first: the (hi desc, id asc) order of a comparison sort.
+  void sort_class(std::size_t begin, std::size_t end) {
+    Entry* const e = entries_.data();
+    const std::size_t len = end - begin;
+    if (len < kRadixCutoff) {
+      for (std::size_t i = begin + 1; i < end; ++i) {
+        const Entry x = e[i];
+        std::size_t j = i;
+        for (; j > begin && e[j - 1].hi < x.hi; --j) e[j] = e[j - 1];
+        e[j] = x;
+      }
+      return;
+    }
+    // LSD radix sort, eight 8-bit digits; a digit every key shares is
+    // skipped, since its pass would keep the order.
+    keys_.resize(2 * len);
+    scratch_.resize(len);
+    std::uint64_t* key = keys_.data();
+    std::uint64_t* key_out = key + len;
+    Entry* in = e + begin;
+    Entry* out = scratch_.data();
+    std::array<std::array<std::uint32_t, 256>, 8> count{};
+    for (std::size_t i = 0; i < len; ++i) {
+      const std::uint64_t k = descending_key(in[i].hi);
+      key[i] = k;
+      for (std::size_t b = 0; b < 8; ++b) ++count[b][(k >> (8 * b)) & 0xFF];
+    }
+    for (std::size_t b = 0; b < 8; ++b) {
+      const unsigned shift = static_cast<unsigned>(8 * b);
+      std::array<std::uint32_t, 256>& c = count[b];
+      if (c[(key[0] >> shift) & 0xFF] == len) continue;
+      std::uint32_t at = 0;
+      for (std::uint32_t& x : c) {
+        const std::uint32_t here = x;
+        x = at;
+        at += here;
+      }
+      for (std::size_t i = 0; i < len; ++i) {
+        const std::uint32_t to = c[(key[i] >> shift) & 0xFF]++;
+        out[to] = in[i];
+        key_out[to] = key[i];
+      }
+      std::swap(in, out);
+      std::swap(key, key_out);
+    }
+    if (in != e + begin) std::copy(in, in + len, e + begin);
   }
 
   const MeloState& state_;
@@ -320,10 +454,17 @@ class PrunedScan {
   ParallelConfig parallel_;
   double gamma_;
   double norm_floor_;
+  std::vector<Terms> terms_;  // by vertex id
+  // The vertices unchosen at the last snapshot (all of them after a load),
+  // by class, each class in ascending id; class_ends_ ends each class.
+  std::vector<graph::NodeId> members_;
+  std::vector<std::size_t> class_ends_;
   linalg::Vec snap_;
   double snap_norm_ = 0.0;
   std::vector<Entry> entries_;
   std::vector<Class> classes_;
+  std::vector<Entry> scratch_;  // radix sort buffers
+  std::vector<std::uint64_t> keys_;
   std::size_t evaluated_ = 0;
 };
 
@@ -387,8 +528,9 @@ part::Ordering melo_order_vectors(const VectorInstance& inst,
       SP_ASSERT(best < n);
       // An H-readjust reload moves every coordinate; a step that had to
       // evaluate more than 1/8 of the candidates has a stale snapshot.
-      if (take(best) ||
-          (order.size() < n && 8 * exact.evaluated() > remaining))
+      const bool reloaded = take(best);
+      if (reloaded) exact.load_terms();
+      if (reloaded || (order.size() < n && 8 * exact.evaluated() > remaining))
         exact.snapshot();
     }
     if (stats != nullptr) {

@@ -7,6 +7,7 @@
 #include "util/error.h"
 #include "util/fault.h"
 #include "util/rng.h"
+#include "util/timer.h"
 
 namespace specpart::linalg {
 
@@ -128,35 +129,43 @@ LanczosResult lanczos_largest_op(
   Vec v = random_unit_vector(n, rng);
   Vec w(n);
 
-  Tridiagonal t_conv;                 // scratch for convergence checks
-  DenseMatrix z_conv;                 // eigenvectors of T
-  bool ritz_valid = false;
-
   // Test hook: an armed "lanczos.force_nonconverge" fault makes this whole
   // call report non-convergence (as a clustered spectrum would), driving
   // callers into their fallback chains. One armed count = one failed call.
   const bool forced_nonconverge = SP_FAULT("lanczos.force_nonconverge");
 
-  auto check_converged = [&]() -> bool {
+  // T of the current basis, in Tridiagonal's layout.
+  const auto projected = [&]() {
     const std::size_t m = basis.size();
-    if (m == 0) return false;
-    // Always (re)compute the Ritz decomposition so a truncated run — budget
-    // exhaustion, early breakdown — can still extract its best-so-far pairs.
-    t_conv.diag = alphas;
-    t_conv.off.assign(m, 0.0);
-    for (std::size_t i = 1; i < m; ++i) t_conv.off[i] = betas[i - 1];
-    z_conv = DenseMatrix::identity(m);
-    tridiagonal_eigen(t_conv, z_conv);
-    ritz_valid = true;
+    Tridiagonal t{alphas, Vec(m, 0.0)};
+    for (std::size_t i = 1; i < m; ++i) t.off[i] = betas[i - 1];
+    return t;
+  };
+  // The residual test: the wanted Ritz pairs are converged when
+  // |beta_m z(m-1, col)| meets the tolerance; last_row[col] = z(m-1, col).
+  const auto ritz_converged = [&](const Vec& last_row) -> bool {
+    const std::size_t m = basis.size();
     if (m < want || forced_nonconverge) return false;
     if (m == n) return true;  // exhausted the space: exact
     const double beta_next = betas.size() >= m ? betas[m - 1] : 0.0;
     for (std::size_t i = 0; i < want; ++i) {
       const std::size_t col = m - 1 - i;  // largest eigenvalues are last
-      const double residual = std::fabs(beta_next * z_conv.at(m - 1, col));
+      const double residual = std::fabs(beta_next * last_row[col]);
       if (residual > opts.tolerance * op_scale) return false;
     }
     return true;
+  };
+  // A check needs only the last row of T's eigenvector matrix; the Ritz
+  // vectors come from one full decomposition after the loop.
+  auto check_converged = [&]() -> bool {
+    Timer timer;
+    bool ok = false;
+    if (basis.size() >= want && !forced_nonconverge) {
+      Tridiagonal t = projected();
+      ok = ritz_converged(tridiagonal_eigen_last_row(t));
+    }
+    result.ritz_check_seconds += timer.seconds();
+    return ok;
   };
 
   // Selective-reorthogonalization state (Simon's omega recurrence):
@@ -176,17 +185,27 @@ LanczosResult lanczos_largest_op(
     flops += 16ull * n * basis_size;
   };
 
+  // Phase timers: operator applies and reorthogonalization sweeps.
+  const auto timed = [](double& seconds, auto&& fn) {
+    Timer timer;
+    fn();
+    seconds += timer.seconds();
+  };
+  const auto reorthogonalize_timed = [&](Vec& x) {
+    timed(result.reorth_seconds, [&] { reorthogonalize(basis, x, par); });
+  };
+
   bool converged = false;
   for (std::size_t j = 0; j < max_iter; ++j) {
     basis.push_back(v);
-    apply(basis.back(), w);
+    timed(result.apply_seconds, [&] { apply(basis.back(), w); });
     flops += 8ull * n;
     if (j > 0 && betas[j - 1] != 0.0)
       paxpy(-betas[j - 1], basis[j - 1], w, par);
     const double alpha = pdot(w, basis[j], par);
     paxpy(-alpha, basis[j], w, par);
     if (!selective) {
-      reorthogonalize(basis, w, par);
+      reorthogonalize_timed(w);
       count_reorth(basis.size());
     }
     alphas.push_back(alpha);
@@ -215,7 +234,7 @@ LanczosResult lanczos_largest_op(
         worst = std::max(worst, std::fabs(omega_next[i]));
       const bool trigger = worst > omega_threshold;
       if (trigger || force_reorth) {
-        reorthogonalize(basis, w, par);
+        reorthogonalize_timed(w);
         count_reorth(basis.size());
         beta = std::sqrt(pdot(w, w, par));
         for (std::size_t i = 0; i <= j; ++i) omega_next[i] = eps_unit;
@@ -236,7 +255,7 @@ LanczosResult lanczos_largest_op(
         break;
       }
       Vec fresh = random_unit_vector(n, rng);
-      reorthogonalize(basis, fresh, par);
+      reorthogonalize_timed(fresh);
       count_reorth(basis.size());
       if (normalize(fresh) <= 1e-12) {
         converged = check_converged();
@@ -270,10 +289,17 @@ LanczosResult lanczos_largest_op(
       break;
     }
   }
-  if (!converged) converged = check_converged();
 
+  // Every exit path (converged check, breakdown, budget, iteration cap)
+  // takes its Ritz pairs from one full decomposition of the final T.
   const std::size_t m = basis.size();
-  SP_ASSERT(ritz_valid && m >= 1);
+  SP_ASSERT(m >= 1);
+  Timer ritz_timer;
+  Tridiagonal t_conv = projected();
+  DenseMatrix z_conv = DenseMatrix::identity(m);
+  tridiagonal_eigen(t_conv, z_conv);
+  result.ritz_check_seconds += ritz_timer.seconds();
+  if (!converged) converged = ritz_converged(z_conv.row(m - 1));
   const std::size_t take = std::min(want, m);
 
   result.values.resize(take);

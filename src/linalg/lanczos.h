@@ -87,6 +87,12 @@ struct LanczosResult {
   /// operator_applies * stream_bytes(); a V-cycle SpMM sweeps it once for
   /// a whole panel.
   std::uint64_t matrix_bytes_moved = 0;
+  /// Wall-clock phase split (Lanczos only; the V-cycle leaves them 0):
+  /// operator applies, reorthogonalization sweeps, and the Ritz work —
+  /// the convergence checks plus the closing decomposition of T.
+  double apply_seconds = 0.0;
+  double reorth_seconds = 0.0;
+  double ritz_check_seconds = 0.0;
 };
 
 /// Computes the `opts.num_eigenpairs` smallest eigenpairs of the symmetric

@@ -122,9 +122,13 @@ void tred2_rows(DenseMatrix& a, Vec& d, Vec& e) {
   }
 }
 
-/// tql2's QL iterations and closing sort on the transpose of the
-/// eigenvector matrix (see tridiagonal_eigen); e is in the shifted layout.
-void tql2_rows(Vec& d, Vec& e, DenseMatrix& z) {
+/// tql2's QL iterations and closing sort (EISPACK, 0-based) on d and the
+/// shifted e. The eigenvector matrix is reached only through
+/// rotate(i, s, c), which rotates its columns i and i+1, and swap(i, k),
+/// which swaps columns i and k, so one source serves the full matrix and a
+/// single row of it with the same d and e bits.
+template <class Rotate, class Swap>
+void tql2(Vec& d, Vec& e, Rotate&& rotate, Swap&& swap) {
   const std::size_t n = d.size();
   constexpr double kEps = 1e-15;
   for (std::size_t l = 0; l < n; ++l) {
@@ -145,7 +149,7 @@ void tql2_rows(Vec& d, Vec& e, DenseMatrix& z) {
         double p = 0.0;
         bool underflow = false;
         for (std::size_t i = m; i-- > l;) {
-          double f = s * e[i];
+          const double f = s * e[i];
           const double b = c * e[i];
           r = std::hypot(f, g);
           e[i + 1] = r;
@@ -162,13 +166,7 @@ void tql2_rows(Vec& d, Vec& e, DenseMatrix& z) {
           p = s * r;
           d[i + 1] = g + p;
           g = c * r - b;
-          double* zi = z.data() + i * n;
-          double* zi1 = zi + n;
-          for (std::size_t k = 0; k < n; ++k) {
-            f = zi1[k];
-            zi1[k] = s * zi[k] + c * f;
-            zi[k] = c * zi[k] - s * f;
-          }
+          rotate(i, s, c);
         }
         if (underflow) continue;
         d[l] -= p;
@@ -178,8 +176,7 @@ void tql2_rows(Vec& d, Vec& e, DenseMatrix& z) {
     } while (m != l);
   }
 
-  // Sort eigenpairs ascending by eigenvalue (selection sort on the rows of
-  // the transpose).
+  // Sort eigenpairs ascending by eigenvalue (selection sort).
   for (std::size_t i = 0; i + 1 < n; ++i) {
     std::size_t k = i;
     double p = d[i];
@@ -191,10 +188,38 @@ void tql2_rows(Vec& d, Vec& e, DenseMatrix& z) {
     }
     if (k != i) {
       std::swap(d[k], d[i]);
-      std::swap_ranges(z.data() + i * n, z.data() + (i + 1) * n,
-                       z.data() + k * n);
+      swap(i, k);
     }
   }
+}
+
+/// tql2 on the transpose of the eigenvector matrix (see
+/// tridiagonal_eigen): each rotation and swap is a pass over two
+/// contiguous rows.
+void tql2_rows(Vec& d, Vec& e, DenseMatrix& z) {
+  const std::size_t n = d.size();
+  double* const zt = z.data();
+  tql2(
+      d, e,
+      [zt, n](std::size_t i, double s, double c) {
+        double* zi = zt + i * n;
+        double* zi1 = zi + n;
+        for (std::size_t k = 0; k < n; ++k) {
+          const double f = zi1[k];
+          zi1[k] = s * zi[k] + c * f;
+          zi[k] = c * zi[k] - s * f;
+        }
+      },
+      [zt, n](std::size_t i, std::size_t k) {
+        std::swap_ranges(zt + i * n, zt + (i + 1) * n, zt + k * n);
+      });
+}
+
+/// Shifts the off-diagonal so e[i] couples rows i and i+1 (tql2 layout).
+void shift_off_diagonal(Vec& e) {
+  const std::size_t n = e.size();
+  for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
+  e[n - 1] = 0.0;
 }
 
 }  // namespace
@@ -217,9 +242,7 @@ void tridiagonal_eigen(Tridiagonal& t, DenseMatrix& z) {
   SP_ASSERT(z.rows() == n && z.cols() == n);
   if (n == 0) return;
 
-  // Shift the off-diagonal so e[i] couples rows i and i+1 (tql2 layout).
-  for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
-  e[n - 1] = 0.0;
+  shift_off_diagonal(e);
 
   // The rotations and the closing sort act on eigenvector columns; on the
   // transpose each is a pass over two contiguous rows. Every element sees
@@ -228,6 +251,29 @@ void tridiagonal_eigen(Tridiagonal& t, DenseMatrix& z) {
   transpose_square(z);
   simd::run([&] { tql2_rows(d, e, z); });
   transpose_square(z);
+}
+
+Vec tridiagonal_eigen_last_row(Tridiagonal& t) {
+  Vec& d = t.diag;
+  Vec& e = t.off;
+  const std::size_t n = d.size();
+  SP_ASSERT(e.size() == n);
+  Vec row(n, 0.0);
+  if (n == 0) return row;
+  shift_off_diagonal(e);
+  // Row n-1 of the identity, rotated and permuted element by element as
+  // tridiagonal_eigen does to that row of z: the same operations in the
+  // same order, so the same bits, at O(1) per rotation instead of O(n).
+  row[n - 1] = 1.0;
+  tql2(
+      d, e,
+      [&row](std::size_t i, double s, double c) {
+        const double f = row[i + 1];
+        row[i + 1] = s * row[i] + c * f;
+        row[i] = c * row[i] - s * f;
+      },
+      [&row](std::size_t i, std::size_t k) { std::swap(row[i], row[k]); });
+  return row;
 }
 
 Vec tridiagonal_eigenvalues(Tridiagonal t) {

@@ -36,6 +36,14 @@ Tridiagonal householder_tridiagonalize(DenseMatrix a, DenseMatrix* accumulated);
 /// (pathological input; does not occur for finite well-scaled matrices).
 void tridiagonal_eigen(Tridiagonal& t, DenseMatrix& z);
 
+/// tridiagonal_eigen with z = identity, keeping only the last row of the
+/// eigenvector matrix: on return t.diag holds the eigenvalues sorted
+/// ascending and element j of the result is z(n-1, j), both bit for bit
+/// what tridiagonal_eigen computes. Each rotation costs O(1) instead of
+/// O(n), which is what Lanczos' convergence checks need (their residuals
+/// read only that row).
+Vec tridiagonal_eigen_last_row(Tridiagonal& t);
+
 /// Convenience: eigenvalues only (ascending) of a symmetric tridiagonal.
 Vec tridiagonal_eigenvalues(Tridiagonal t);
 

@@ -20,7 +20,13 @@ void note_fallback(Diagnostics* diag, const std::string& message) {
   if (diag != nullptr) diag->fallback(kStage, message);
 }
 
-/// Runs one flat Lanczos attempt and records its internal recoveries.
+/// Seconds as whole microseconds, the unit of the phase counters.
+std::uint64_t micros(double seconds) {
+  return static_cast<std::uint64_t>(std::llround(seconds * 1e6));
+}
+
+/// Runs one flat Lanczos attempt and records its internal recoveries and
+/// phase times (the counters add up over the escalation chain's attempts).
 /// `max_iterations` caps the Krylov columns (0 = Lanczos' automatic
 /// formula); the fallback chain reseeds and enlarges it per attempt.
 linalg::LanczosResult run_attempt(const linalg::SymCsrMatrix& q,
@@ -36,6 +42,13 @@ linalg::LanczosResult run_attempt(const linalg::SymCsrMatrix& q,
   lopts.budget = budget;
   lopts.parallel = opts.parallel;
   linalg::LanczosResult result = linalg::lanczos_smallest(q, lopts);
+  if (diag != nullptr) {
+    diag->add_counter(kStage, "lanczos_apply_us", micros(result.apply_seconds));
+    diag->add_counter(kStage, "lanczos_reorth_us",
+                      micros(result.reorth_seconds));
+    diag->add_counter(kStage, "lanczos_ritz_check_us",
+                      micros(result.ritz_check_seconds));
+  }
   if (result.breakdown_restarts > 0)
     note_fallback(diag,
                   strprintf("Lanczos breakdown: %zu invariant-subspace "
@@ -94,9 +107,6 @@ EigenBasis eigenbasis_of_laplacian(const linalg::SymCsrMatrix& q,
         diag->add_counter(kStage, "multilevel_coarsest_n", mstats.coarsest_n);
         diag->add_counter(kStage, "multilevel_refine_sweeps",
                           mstats.total_sweeps());
-        const auto micros = [](double seconds) {
-          return static_cast<std::uint64_t>(std::llround(seconds * 1e6));
-        };
         diag->add_counter(kStage, "multilevel_coarsen_us",
                           micros(mstats.coarsen_seconds));
         diag->add_counter(kStage, "multilevel_coarse_solve_us",

@@ -155,5 +155,24 @@ TEST(Embedding, KrylovPathOnDegenerateNetlist) {
   EXPECT_GT(basis.values[2], 1e-6);
 }
 
+TEST(Embedding, FlatSolveRecordsLanczosPhaseCounters) {
+  // A flat Lanczos solve publishes its phase times beside the V-cycle's,
+  // as eigensolve.lanczos_* diagnostics counters in microseconds.
+  const linalg::SymCsrMatrix q = random_laplacian(1500, 4500, 21);
+  EmbeddingOptions opts;
+  opts.count = 8;
+  Diagnostics diag;
+  const EigenBasis basis = compute_eigenbasis(q, opts, &diag);
+  EXPECT_TRUE(basis.converged);
+  for (const char* name :
+       {"lanczos_apply_us", "lanczos_reorth_us", "lanczos_ritz_check_us"}) {
+    bool present = false;
+    for (const StageCounter& c : diag.counters())
+      if (c.stage == "eigensolve" && c.name == name) present = true;
+    EXPECT_TRUE(present) << name;
+  }
+  EXPECT_GT(diag.counter("eigensolve", "lanczos_reorth_us"), 0u);
+}
+
 }  // namespace
 }  // namespace specpart::spectral

@@ -10,6 +10,7 @@
 #include "linalg/lanczos.h"
 #include "linalg/symmetric_eigen.h"
 #include "util/rng.h"
+#include "util/timer.h"
 
 namespace specpart::linalg {
 namespace {
@@ -142,6 +143,23 @@ TEST(Lanczos, CountersTrackMatrixTraffic) {
   EXPECT_GT(r.operator_applies, 0u);
   EXPECT_GT(r.flops, 0u);
   EXPECT_EQ(r.matrix_bytes_moved, r.operator_applies * q.stream_bytes());
+}
+
+TEST(Lanczos, PhaseTimesFitInsideTheCall) {
+  // Operator applies, reorthogonalization and the Ritz work are timed
+  // separately; each ran, and together they take no longer than the call.
+  const SymCsrMatrix q = random_laplacian(800, 2400, 13);
+  LanczosOptions opts;
+  opts.num_eigenpairs = 8;
+  Timer wall;
+  const LanczosResult r = lanczos_smallest(q, opts);
+  const double seconds = wall.seconds();
+  ASSERT_TRUE(r.converged);
+  EXPECT_GT(r.apply_seconds, 0.0);
+  EXPECT_GT(r.reorth_seconds, 0.0);
+  EXPECT_GT(r.ritz_check_seconds, 0.0);
+  EXPECT_LE(r.apply_seconds + r.reorth_seconds + r.ritz_check_seconds,
+            seconds);
 }
 
 TEST(LanczosLargestOp, DiagonalOperator) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -46,13 +47,24 @@ graph::Hypergraph planted(std::size_t modules, std::size_t clusters,
   return graph::generate_netlist(cfg);
 }
 
-/// The plain exact scan, kept as the oracle for the library's pruned one:
-/// every unchosen key is evaluated at every step, with the library's key
-/// expression and order of operations, and an ascending scan that replaces
-/// only on a strictly larger key gives the smallest id among ties.
-part::Ordering plain_scan_order(const VectorInstance& inst,
-                                const MeloOrderingOptions& opts,
-                                const MeloReadjust* readjust) {
+/// The two oracles for the library's pruned exact scan, on one copy of its
+/// state (rows, subset sum and key() with the library's expressions and
+/// order of operations).
+///
+/// With `pruned_stats` null this is the plain exact scan: every unchosen
+/// key is evaluated at every step, and an ascending scan that replaces only
+/// on a strictly larger key gives the smallest id among ties.
+///
+/// With `pruned_stats` set it is the certified-pruning scan as first
+/// written: each snapshot fills every bound term from scratch and orders
+/// the entries with one comparison sort (binade of w descending, then hi
+/// descending, then id). Its orderings equal the plain scan's, and its
+/// work counters, added to *pruned_stats, are what the library's must
+/// repeat: they, unlike the orderings, depend on the order inside a class.
+part::Ordering reference_order(const VectorInstance& inst,
+                               const MeloOrderingOptions& opts,
+                               const MeloReadjust* readjust,
+                               MeloOrderingStats* pruned_stats = nullptr) {
   const std::size_t n = inst.size();
   const std::size_t d = inst.dimension();
   std::vector<double> rows;
@@ -68,10 +80,14 @@ part::Ordering plain_scan_order(const VectorInstance& inst,
   };
   linalg::Vec sum(d, 0.0);
   double sum_norm_sq = 0.0;
-  const auto key = [&](std::size_t v) {
+  const auto dot = [&](std::size_t v) {
     const double* y = rows.data() + v * d;
     double s_dot_y = 0.0;
     for (std::size_t j = 0; j < d; ++j) s_dot_y += sum[j] * y[j];
+    return s_dot_y;
+  };
+  const auto key = [&](std::size_t v) {
+    const double s_dot_y = dot(v);
     const double y_sq = norms_sq[v];
     switch (opts.selection) {
       case SelectionRule::kMagnitude:
@@ -91,6 +107,7 @@ part::Ordering plain_scan_order(const VectorInstance& inst,
   load(inst);
   std::vector<char> chosen(n, 0);
   part::Ordering order;
+  // Returns true when the step fired the H readjustment.
   const auto take = [&](graph::NodeId v) {
     chosen[v] = 1;
     for (std::size_t j = 0; j < d; ++j) sum[j] += rows[v * d + j];
@@ -103,8 +120,116 @@ part::Ordering plain_scan_order(const VectorInstance& inst,
       for (graph::NodeId u : order)
         for (std::size_t j = 0; j < d; ++j) sum[j] += rows[u * d + j];
       sum_norm_sq = linalg::norm_sq(sum);
+      return true;
+    }
+    return false;
+  };
+
+  // The pruned scan's snapshot and walk (see core/melo.cpp).
+  struct Entry {
+    double hi;
+    double w;
+    graph::NodeId v;
+    int binade;
+  };
+  struct Class {
+    std::size_t begin;
+    std::size_t end;
+    double w_max;
+  };
+  const double gamma = std::ldexp(8.0 * static_cast<double>(d + 8), -52);
+  const double norm_floor =
+      std::ldexp(std::sqrt(static_cast<double>(d)), -537);
+  std::vector<Entry> entries;
+  std::vector<Class> classes;
+  linalg::Vec snap;
+  double snap_norm = 0.0;
+  std::size_t evaluated = 0;
+  const auto snapshot = [&] {
+    ++pruned_stats->reranks;
+    snap = sum;
+    snap_norm = std::sqrt(sum_norm_sq);
+    entries.clear();
+    for (graph::NodeId v = 0; v < n; ++v) {
+      if (chosen[v]) continue;
+      const double y_sq = norms_sq[v];
+      const double y_norm = std::sqrt(y_sq);
+      double a = 1.0;
+      double b = 0.0;
+      if (opts.selection == SelectionRule::kMagnitude) {
+        a = 2.0;
+        b = y_sq;
+      } else if (opts.selection == SelectionRule::kCosine) {
+        if (y_norm <= 1e-300) {
+          entries.push_back(Entry{-std::numeric_limits<double>::infinity(),
+                                  0.0, v, std::numeric_limits<int>::min()});
+          continue;
+        }
+        a = 1.0 / y_norm;
+      }
+      const double ag = a * dot(v);
+      const double w = a * (y_norm + norm_floor);
+      entries.push_back(Entry{(ag + b) + gamma * (std::abs(ag) + b), w, v,
+                              std::ilogb(w)});
+    }
+    std::sort(entries.begin(), entries.end(),
+              [](const Entry& x, const Entry& y) {
+                if (x.binade != y.binade) return x.binade > y.binade;
+                if (x.hi != y.hi) return x.hi > y.hi;
+                return x.v < y.v;
+              });
+    classes.clear();
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      if (i == 0 || entries[i].binade != entries[i - 1].binade)
+        classes.push_back(Class{i, i, 0.0});
+      classes.back().end = i + 1;
+      classes.back().w_max = std::max(classes.back().w_max, entries[i].w);
     }
   };
+  const auto select = [&] {
+    double best_key = -std::numeric_limits<double>::infinity();
+    graph::NodeId best = static_cast<graph::NodeId>(n);
+    evaluated = 0;
+    const auto consider = [&](graph::NodeId v) {
+      const double k = key(v);
+      ++evaluated;
+      if (k > best_key || (k == best_key && v < best)) {
+        best_key = k;
+        best = v;
+      }
+    };
+    if (opts.selection != SelectionRule::kMagnitude &&
+        sum_norm_sq <= 1e-300) {
+      for (graph::NodeId v = 0; v < n; ++v)
+        if (!chosen[v]) consider(v);
+    } else {
+      double drift_sq = 0.0;
+      for (std::size_t j = 0; j < d; ++j)
+        drift_sq += (sum[j] - snap[j]) * (sum[j] - snap[j]);
+      const double slack = std::sqrt(drift_sq) +
+                           gamma * (std::sqrt(sum_norm_sq) + snap_norm) +
+                           0x1p-500;
+      const double base = opts.selection == SelectionRule::kMagnitude
+                              ? sum_norm_sq + gamma * sum_norm_sq
+                              : 0.0;
+      for (Class& cl : classes) {
+        while (cl.begin < cl.end && chosen[entries[cl.begin].v]) ++cl.begin;
+        if (cl.begin < cl.end) consider(entries[cl.begin].v);
+      }
+      for (const Class& cl : classes) {
+        const double class_slack = cl.w_max * slack;
+        for (std::size_t i = cl.begin + 1; i < cl.end; ++i) {
+          const Entry& e = entries[i];
+          const double lead = base + e.hi;
+          if (lead + class_slack < best_key) break;
+          if (!chosen[e.v] && !(lead + e.w * slack < best_key)) consider(e.v);
+        }
+      }
+    }
+    pruned_stats->key_evaluations += evaluated;
+    return best;
+  };
+
   // (start_rank+1)-th longest vector, ties by id.
   std::vector<graph::NodeId> ids(n);
   std::iota(ids.begin(), ids.end(), 0u);
@@ -112,11 +237,18 @@ part::Ordering plain_scan_order(const VectorInstance& inst,
     return norms_sq[a] > norms_sq[b];
   });
   take(ids[std::min(opts.start_rank, n - 1)]);
+  if (pruned_stats != nullptr) snapshot();
   while (order.size() < n) {
     if (!budget_charge(opts.budget)) {
       for (graph::NodeId v = 0; v < n; ++v)
         if (!chosen[v]) order.push_back(v);
       break;
+    }
+    if (pruned_stats != nullptr) {
+      const std::size_t remaining = n - order.size();
+      if (take(select()) || (order.size() < n && 8 * evaluated > remaining))
+        snapshot();
+      continue;
     }
     graph::NodeId best = static_cast<graph::NodeId>(n);
     double best_key = 0.0;
@@ -133,9 +265,15 @@ part::Ordering plain_scan_order(const VectorInstance& inst,
   return order;
 }
 
-/// Random rows of one of four shapes: Gaussian; small integers (exact key
+/// Random rows of one of eight shapes: Gaussian; small integers (exact key
 /// ties); copies of a few rows plus zero rows; Gaussian directions with
-/// norms spread over four decades.
+/// norms spread over four decades; copies of one to three rows (runs of
+/// equal static bound parts, ordered only by id); Gaussian rows, 30% of
+/// them zero; Gaussian directions with norms 1.5 2^e, e running over
+/// [-540, 490] (over 1000 binades once n > 1030, the smallest squares
+/// underflowing); Gaussian directions with norms in [1, 2) and, for every
+/// third row, [16, 32) (two classes that shrink through the insertion /
+/// radix cutoff of the snapshot's per-class sort).
 VectorInstance random_rows(Rng& rng, std::size_t n, std::size_t d,
                            int shape) {
   VectorInstance inst;
@@ -143,12 +281,15 @@ VectorInstance random_rows(Rng& rng, std::size_t n, std::size_t d,
   const std::size_t pool = 1 + rng.next_below(6);
   for (std::size_t i = 0; i < n; ++i) {
     const double scale = std::pow(10.0, 4.0 * rng.next_double() - 2.0);
-    const bool zero = shape == 2 && rng.next_bool(0.15);
+    const bool zero = (shape == 2 && rng.next_bool(0.15)) ||
+                      (shape == 5 && rng.next_bool(0.3));
     const std::size_t source = rng.next_below(pool);
     for (std::size_t j = 0; j < d; ++j) {
       double x = 0.0;
       switch (shape) {
         case 0:
+        case 6:
+        case 7:
           x = rng.next_normal();
           break;
         case 1:
@@ -157,34 +298,87 @@ VectorInstance random_rows(Rng& rng, std::size_t n, std::size_t d,
         case 2:
           x = zero ? 0.0 : std::cos(static_cast<double>(source * 7 + j));
           break;
+        case 4:
+          x = std::sin(static_cast<double>(source % 3 * 13 + j) + 0.5);
+          break;
+        case 5:
+          x = zero ? 0.0 : rng.next_normal();
+          break;
         default:
           x = scale * rng.next_normal();
           break;
       }
       inst.vectors.at(i, j) = x;
     }
+    if (shape == 6 || shape == 7) {
+      double norm_sq = 0.0;
+      for (std::size_t j = 0; j < d; ++j)
+        norm_sq += inst.vectors.at(i, j) * inst.vectors.at(i, j);
+      // 7919 and 1031 are coprime: the first 1031 rows take every e once.
+      const double norm =
+          shape == 6
+              ? std::ldexp(1.5, static_cast<int>(i * 7919 % 1031) - 540)
+              : (1.0 + rng.next_double()) * (i % 3 == 0 ? 16.0 : 1.0);
+      for (std::size_t j = 0; j < d; ++j)
+        inst.vectors.at(i, j) *= norm / std::sqrt(norm_sq);
+    }
   }
   return inst;
+}
+
+/// Distinct binades among the row norms of `inst`.
+std::size_t norm_binades(const VectorInstance& inst) {
+  std::set<int> binades;
+  for (std::size_t i = 0; i < inst.size(); ++i) {
+    double norm_sq = 0.0;
+    for (std::size_t j = 0; j < inst.dimension(); ++j)
+      norm_sq += inst.vectors.at(i, j) * inst.vectors.at(i, j);
+    if (norm_sq > 0.0) binades.insert(std::ilogb(std::sqrt(norm_sq)));
+  }
+  return binades.size();
 }
 
 TEST(MeloOrder, PrunedScanMatchesPlainScan) {
   // Differential check of the certified-pruning scan against the plain
   // one: identical orderings on every instance, rule, start rank, readjust
   // point, budget cut and thread count (0 = $SPECPART_THREADS, which the
-  // test_melo_mt lane pins to 8).
+  // test_melo_mt lane pins to 8). The work counters must equal those of
+  // the comparison-sorted pruned scan in reference_order, which only a
+  // snapshot with the same per-class order (hi descending, then id)
+  // repeats. Cases 241 on aim at that order: duplicated rows, cosine zero
+  // rows, norms over more than 1000 binades, and classes on both sides of
+  // the insertion / radix cutoff.
   Rng rng(0x5EED);
   std::size_t readjusts_fired = 0;
   std::size_t budget_cuts = 0;
-  for (std::size_t c = 0; c < 241; ++c) {
+  std::size_t wide_spreads = 0;
+  for (std::size_t c = 0; c < 265; ++c) {
     const bool big = c % 8 == 0;
     std::size_t n = c < 2 ? c + 1 : 1 + rng.next_below(big ? 1500 : 300);
     std::size_t d = 1 + rng.next_below(16);
     if (c == 240) n = d = 64;  // d = n
-    const int shape = static_cast<int>((c / 9) % 4);
-    const VectorInstance inst = random_rows(rng, n, d, shape);
+    int shape = static_cast<int>((c / 9) % 4);
     MeloOrderingOptions opts;
     opts.selection = static_cast<SelectionRule>(1 + c % 3);
     opts.start_rank = (c / 3) % 3;
+    if (c >= 241) {
+      shape = 4 + static_cast<int>(c % 4);
+      if (shape == 4) n = std::min<std::size_t>(n, 700);
+      if (shape == 5) opts.selection = SelectionRule::kCosine;
+      if (shape == 6) {
+        n = 1040 + rng.next_below(60);
+        // The cosine rule's w is about 1 on every row: one class.
+        if (opts.selection == SelectionRule::kCosine)
+          opts.selection = SelectionRule::kMagnitude;
+      }
+      if (shape == 7)
+        n = std::array<std::size_t, 6>{40, 63, 64, 65, 100, 400}[c / 4 % 6];
+    }
+    const VectorInstance inst = random_rows(rng, n, d, shape);
+    if (shape == 6) {
+      ASSERT_GT(norm_binades(inst), 1000u) << "case " << c;
+      ++wide_spreads;
+    }
 
     MeloReadjust readjust;
     std::size_t rebuilds = 0;
@@ -202,31 +396,49 @@ TEST(MeloOrder, PrunedScanMatchesPlainScan) {
     }
     const std::size_t budget_units =
         c % 5 == 4 ? 1 + rng.next_below(n) : 0;
-    const auto run = [&](const ParallelConfig* parallel) {
+    const MeloReadjust* r = readjust.at != 0 ? &readjust : nullptr;
+    // Every run gets a fresh budget of `budget_units` steps (0 = none).
+    const auto budgeted = [&](auto&& order_with) {
       MeloOrderingOptions o = opts;
       ComputeBudget budget = ComputeBudget::with_max_iterations(budget_units);
       if (budget_units > 0) o.budget = &budget;
-      const MeloReadjust* r = readjust.at != 0 ? &readjust : nullptr;
-      if (parallel == nullptr) return plain_scan_order(inst, o, r);
-      o.parallel = *parallel;
-      return melo_order_vectors(inst, o, r);
+      return order_with(o);
     };
-    const part::Ordering expected = run(nullptr);
+    const part::Ordering expected = budgeted(
+        [&](const MeloOrderingOptions& o) { return reference_order(inst, o, r); });
     ASSERT_TRUE(part::is_permutation(expected, n));
     readjusts_fired += rebuilds;
     budget_cuts += budget_units > 0 && budget_units < n ? 1 : 0;
+    MeloOrderingStats expected_stats;
+    ASSERT_EQ(budgeted([&](const MeloOrderingOptions& o) {
+                return reference_order(inst, o, r, &expected_stats);
+              }),
+              expected)
+        << "case " << c;
     for (const std::size_t threads : {1, 2, 8, 0}) {
-      const ParallelConfig parallel = ParallelConfig::with_threads(threads);
-      ASSERT_EQ(run(&parallel), expected)
-          << "case " << c << ": n=" << n << " d=" << d << " shape=" << shape
-          << " rule=" << selection_rule_name(opts.selection)
-          << " start_rank=" << opts.start_rank << " readjust_at="
-          << readjust.at << " budget=" << budget_units
-          << " threads=" << threads;
+      MeloOrderingStats stats;
+      const part::Ordering got = budgeted([&](MeloOrderingOptions o) {
+        o.parallel = ParallelConfig::with_threads(threads);
+        return melo_order_vectors(inst, o, r, &stats);
+      });
+      const auto describe = [&] {
+        return "case " + std::to_string(c) + ": n=" + std::to_string(n) +
+               " d=" + std::to_string(d) + " shape=" + std::to_string(shape) +
+               " rule=" + selection_rule_name(opts.selection) +
+               " start_rank=" + std::to_string(opts.start_rank) +
+               " readjust_at=" + std::to_string(readjust.at) +
+               " budget=" + std::to_string(budget_units) +
+               " threads=" + std::to_string(threads);
+      };
+      ASSERT_EQ(got, expected) << describe();
+      ASSERT_EQ(stats.key_evaluations, expected_stats.key_evaluations)
+          << describe();
+      ASSERT_EQ(stats.reranks, expected_stats.reranks) << describe();
     }
   }
   EXPECT_GT(readjusts_fired, 20u);
   EXPECT_GT(budget_cuts, 20u);
+  EXPECT_EQ(wide_spreads, 6u);
 }
 
 TEST(MeloOrder, RejectsNonFiniteRows) {

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 
 #include "linalg/symmetric_eigen.h"
 #include "linalg/tridiagonal.h"
@@ -243,8 +244,10 @@ Tridiagonal reference_tred2(DenseMatrix a, DenseMatrix& q) {
 }
 
 bool same_bits(const Vec& a, const Vec& b) {
+  // memcmp must not see the null data() of an empty vector.
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 void expect_tred2_matches_reference(const DenseMatrix& a,
@@ -276,6 +279,61 @@ TEST(Householder, RowOrderedTred2MatchesEispackBitForBit) {
   DenseMatrix diagonal(31, 31);
   for (std::size_t i = 0; i < 31; ++i) diagonal.at(i, i) = 1.0 + double(i % 7);
   expect_tred2_matches_reference(diagonal, "diagonal");
+}
+
+/// tridiagonal_eigen_last_row against the full QL on the same T: the
+/// eigenvalues and the last row of the eigenvector matrix, bit for bit.
+void expect_last_row_matches_full_ql(const Tridiagonal& t,
+                                     const std::string& what) {
+  const std::size_t n = t.diag.size();
+  Tridiagonal full = t;
+  DenseMatrix z = DenseMatrix::identity(n);
+  tridiagonal_eigen(full, z);
+  Tridiagonal one = t;
+  const Vec row = tridiagonal_eigen_last_row(one);
+  EXPECT_TRUE(same_bits(one.diag, full.diag)) << what;
+  EXPECT_TRUE(same_bits(row, n == 0 ? Vec{} : z.row(n - 1))) << what;
+}
+
+/// Random T in Tridiagonal's layout; every `split`-th coupling is zero
+/// (0 = none), which makes QL deflate into independent blocks.
+Tridiagonal random_tridiagonal(std::size_t n, std::size_t split,
+                               std::uint64_t seed) {
+  Rng rng(seed);
+  Tridiagonal t{Vec(n), Vec(n, 0.0)};
+  for (std::size_t i = 0; i < n; ++i) {
+    t.diag[i] = rng.next_normal();
+    if (i > 0) t.off[i] = (split != 0 && i % split == 0) ? 0.0
+                                                         : rng.next_normal();
+  }
+  return t;
+}
+
+TEST(Tridiagonal, LastRowMatchesFullQlBitForBit) {
+  for (const std::size_t n : {0, 1, 2, 3, 10, 57, 200, 320})
+    for (const std::size_t split : {0, 4, 25})
+      expect_last_row_matches_full_ql(
+          random_tridiagonal(n, split, 900 + n + split),
+          "n=" + std::to_string(n) + " split=" + std::to_string(split));
+  // A Lanczos T: the projection of a path Laplacian (repeated and
+  // clustered Ritz values), and a graded one spanning 20 decades.
+  const std::size_t m = 120;
+  Tridiagonal path{Vec(m, 2.0), Vec(m, -1.0)};
+  path.off[0] = 0.0;
+  expect_last_row_matches_full_ql(path, "path");
+  Tridiagonal graded = random_tridiagonal(m, 0, 77);
+  for (std::size_t i = 0; i < m; ++i) {
+    const double s = std::pow(10.0, -10.0 + 20.0 * double(i) / double(m));
+    graded.diag[i] *= s;
+    graded.off[i] *= s;
+  }
+  expect_last_row_matches_full_ql(graded, "graded");
+  // Diagonal (every coupling zero) and a block of equal diagonal entries.
+  expect_last_row_matches_full_ql(Tridiagonal{Vec{5, 1, 3, 1}, Vec(4, 0.0)},
+                                  "diagonal");
+  Tridiagonal flat = random_tridiagonal(40, 7, 5);
+  for (double& x : flat.diag) x = 1.0;
+  expect_last_row_matches_full_ql(flat, "equal diagonal");
 }
 
 }  // namespace
