@@ -1,6 +1,6 @@
 // Microbenchmarks for the algorithmic kernels (google-benchmark): MELO
-// ordering construction (exact vs lazy), DP-RP splitting, FM passes, and
-// the clique expansion.
+// ordering construction (serial and threaded), DP-RP splitting, FM passes,
+// and the clique expansion.
 #include <benchmark/benchmark.h>
 
 #include "core/drivers.h"
@@ -48,19 +48,6 @@ void BM_MeloOrderingExact(benchmark::State& state) {
 BENCHMARK(BM_MeloOrderingExact)->Arg(500)->Arg(1500)->Arg(3000)->Unit(
     benchmark::kMillisecond);
 
-void BM_MeloOrderingLazy(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const graph::Hypergraph h = make_netlist(n);
-  const core::VectorInstance inst = make_vectors(h, 10);
-  core::MeloOrderingOptions opts;
-  opts.lazy_ranking = true;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(core::melo_order_vectors(inst, opts));
-  state.SetLabel("n=" + std::to_string(n) + " d=10 lazy");
-}
-BENCHMARK(BM_MeloOrderingLazy)->Arg(500)->Arg(1500)->Arg(3000)->Unit(
-    benchmark::kMillisecond);
-
 void BM_MeloOrderingExactThreaded(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto threads = static_cast<std::size_t>(state.range(1));
@@ -77,24 +64,6 @@ BENCHMARK(BM_MeloOrderingExactThreaded)
     ->Args({5000, 1})
     ->Args({5000, 2})
     ->Args({5000, 4})
-    ->Args({5000, 8})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_MeloOrderingLazyThreaded(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto threads = static_cast<std::size_t>(state.range(1));
-  const graph::Hypergraph h = make_netlist(n);
-  const core::VectorInstance inst = make_vectors(h, 10);
-  core::MeloOrderingOptions opts;
-  opts.lazy_ranking = true;
-  opts.parallel = ParallelConfig::with_threads(threads);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(core::melo_order_vectors(inst, opts));
-  state.SetLabel("n=" + std::to_string(n) + " d=10 lazy threads:" +
-                 std::to_string(threads));
-}
-BENCHMARK(BM_MeloOrderingLazyThreaded)
-    ->Args({5000, 1})
     ->Args({5000, 8})
     ->Unit(benchmark::kMillisecond);
 

@@ -244,17 +244,6 @@ int main(int argc, char** argv) {
       r.parallel_seconds =
           time_median([&] { core::melo_order_vectors(inst, opts); });
       results.push_back(r);
-
-      core::MeloOrderingOptions lazy = opts;
-      lazy.lazy_ranking = true;
-      KernelResult rl{"melo_lazy", "n=" + std::to_string(n) + " d=10"};
-      lazy.parallel = serial;
-      rl.serial_seconds =
-          time_median([&] { core::melo_order_vectors(inst, lazy); });
-      lazy.parallel = par;
-      rl.parallel_seconds =
-          time_median([&] { core::melo_order_vectors(inst, lazy); });
-      results.push_back(rl);
     }
 
     {

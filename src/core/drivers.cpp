@@ -174,7 +174,7 @@ std::vector<MeloOrderingRun> melo_orderings(const graph::Hypergraph& h,
       diag->mark_budget_exhausted("ordering");
     runs.push_back(std::move(run));
   }
-  if (diag != nullptr && !opts.lazy_ranking) {
+  if (diag != nullptr) {
     diag->add_counter("ordering", "key_evaluations",
                       ordering_stats.key_evaluations);
     diag->add_counter("ordering", "reranks", ordering_stats.reranks);

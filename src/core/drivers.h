@@ -5,7 +5,7 @@
 //           --reduction(H)--> vectors --MELO greedy--> ordering
 //           --split / DP-RP--> partitioning
 // and expose the experiment-facing knobs (d, weighting scheme, net model,
-// H readjustment, multi-start, lazy ranking).
+// H readjustment, multi-start).
 #pragma once
 
 #include <cstdint>

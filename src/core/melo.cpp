@@ -27,9 +27,9 @@ const char* selection_rule_name(SelectionRule s) {
 
 namespace {
 
-/// Block size for the parallel key scans. Fixed per call site (part of the
-/// determinism contract): small enough that mid-size instances still fan
-/// out across threads, large enough to amortize dispatch.
+/// Block size for the snapshot's parallel dots. Fixed per call site (part
+/// of the determinism contract): small enough that mid-size instances still
+/// fan out across threads, large enough to amortize dispatch.
 constexpr std::size_t kScanGrain = 256;
 
 /// Largest accepted sum of vector norms (2^500): squares of it stay far
@@ -37,11 +37,11 @@ constexpr std::size_t kScanGrain = 256;
 constexpr double kMaxNormTotal = 0x1p500;
 
 /// Greedy state: rows of the instance, running subset sum, and the scheme
-/// evaluation. Kept separate from the selection policy (exact vs lazy).
+/// evaluation. PrunedScan decides which keys to evaluate.
 ///
 /// Rows live in one contiguous row-major buffer (n x d doubles) instead of
-/// n separate heap vectors: snapshots and re-ranks walk it linearly, at
-/// memory bandwidth.
+/// n separate heap vectors: snapshots walk it linearly, at memory
+/// bandwidth.
 class MeloState {
  public:
   MeloState(const VectorInstance& inst, SelectionRule scheme)
@@ -499,115 +499,36 @@ part::Ordering melo_order_vectors(const VectorInstance& inst,
     return false;
   };
 
-  // Budget exhaustion mid-construction: the ordering must still be a full
-  // permutation for the split sweeps, so the remaining vertices are
-  // appended in id order (cheap, deterministic) instead of aborting.
-  auto complete_cheaply = [&]() {
-    for (graph::NodeId v = 0; v < n; ++v)
-      if (!chosen[v]) {
-        chosen[v] = 1;
-        order.push_back(v);
-      }
-  };
-
   take(pick_start(state, opts.start_rank, n));
 
-  if (!opts.lazy_ranking) {
-    // Exact argmax each step, evaluating only keys whose certified bound
-    // can still win. The walk is serial and the snapshot's dots are
-    // independent, so the ordering does not depend on the thread count.
-    PrunedScan exact(state, chosen, scan);
-    exact.snapshot();
-    while (order.size() < n) {
-      if (!budget_charge(opts.budget)) {
-        complete_cheaply();
-        break;
-      }
-      const std::size_t remaining = n - order.size();
-      const graph::NodeId best = exact.select();
-      SP_ASSERT(best < n);
-      // An H-readjust reload moves every coordinate; a step that had to
-      // evaluate more than 1/8 of the candidates has a stale snapshot.
-      const bool reloaded = take(best);
-      if (reloaded) exact.load_terms();
-      if (reloaded || (order.size() < n && 8 * exact.evaluated() > remaining))
-        exact.snapshot();
-    }
-    if (stats != nullptr) {
-      stats->key_evaluations += exact.stats.key_evaluations;
-      stats->reranks += exact.stats.reranks;
-    }
-    return order;
-  }
-
-  // Lazy ranking: keep a window T of the top-ranked unchosen vectors under
-  // a periodically refreshed key snapshot; evaluate only T exactly.
-  std::vector<graph::NodeId> ranked;   // unchosen, ordered by snapshot key
-  std::size_t ranked_next = 0;         // next snapshot vertex to feed into T
-  std::vector<graph::NodeId> window;
-  std::size_t since_rerank = 0;
-
-  auto rerank = [&]() {
-    ranked.clear();
-    for (graph::NodeId v = 0; v < n; ++v)
-      if (!chosen[v]) ranked.push_back(v);
-    std::vector<double> snapshot(n, 0.0);
-    parallel_for(scan, 0, ranked.size(), [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t r = lo; r < hi; ++r)
-        snapshot[ranked[r]] = state.key(ranked[r]);
-    });
-    std::sort(ranked.begin(), ranked.end(),
-              [&](graph::NodeId a, graph::NodeId b) {
-                if (snapshot[a] != snapshot[b])
-                  return snapshot[a] > snapshot[b];
-                return a < b;
-              });
-    window.clear();
-    ranked_next = 0;
-    while (window.size() < std::max<std::size_t>(1, opts.lazy_window) &&
-           ranked_next < ranked.size())
-      window.push_back(ranked[ranked_next++]);
-    since_rerank = 0;
-  };
-
-  rerank();
+  // Exact argmax each step, evaluating only keys whose certified bound can
+  // still win. The walk is serial and the snapshot's dots are independent,
+  // so the ordering does not depend on the thread count.
+  PrunedScan exact(state, chosen, scan);
+  exact.snapshot();
   while (order.size() < n) {
     if (!budget_charge(opts.budget)) {
-      complete_cheaply();
+      // Budget exhaustion mid-construction: the ordering must still be a
+      // full permutation for the split sweeps, so the remaining vertices
+      // are appended in id order (cheap, deterministic) instead of
+      // aborting.
+      for (graph::NodeId v = 0; v < n; ++v)
+        if (!chosen[v]) order.push_back(v);
       break;
     }
-    if (window.empty() ||
-        since_rerank >= std::max<std::size_t>(1, opts.lazy_rerank_interval)) {
-      rerank();
-    }
-    SP_ASSERT(!window.empty());
-    // Exact evaluation inside the window only. Ties break toward the
-    // smaller window slot, which keeps the choice deterministic for any
-    // thread count.
-    const std::size_t best_slot = parallel_argmax(
-        scan, window.size(),
-        [&](std::size_t s) { return state.key(window[s]); },
-        [](std::size_t) { return true; });
-    const graph::NodeId v = window[best_slot];
-    // Swap-with-back removal: O(1) instead of erase()'s O(T) shift.
-    window[best_slot] = window.back();
-    window.pop_back();
-    if (take(v)) {
-      // H-readjust reload: every snapshot key (and the ranked order built
-      // from them) is stale under the new coordinates — re-rank instead of
-      // continuing to feed the window from the outdated list.
-      rerank();
-      continue;
-    }
-    ++since_rerank;
-    // Grow T with the next snapshot-ranked unchosen vector.
-    while (ranked_next < ranked.size()) {
-      const graph::NodeId cand = ranked[ranked_next++];
-      if (!chosen[cand]) {
-        window.push_back(cand);
-        break;
-      }
-    }
+    const std::size_t remaining = n - order.size();
+    const graph::NodeId best = exact.select();
+    SP_ASSERT(best < n);
+    // An H-readjust reload moves every coordinate; a step that had to
+    // evaluate more than 1/8 of the candidates has a stale snapshot.
+    const bool reloaded = take(best);
+    if (reloaded) exact.load_terms();
+    if (reloaded || (order.size() < n && 8 * exact.evaluated() > remaining))
+      exact.snapshot();
+  }
+  if (stats != nullptr) {
+    stats->key_evaluations += exact.stats.key_evaluations;
+    stats->reranks += exact.stats.reranks;
   }
   return order;
 }

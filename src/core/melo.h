@@ -22,11 +22,9 @@
 // only where a certified upper bound from the last snapshot says it could
 // still win (ALGORITHMS.md §2): the orderings are those of a full scan,
 // bit for bit, at a few percent of its key evaluations on typical
-// instances. The lazy-ranking mode implements the paper's heuristic
-// speedup ("the remaining vectors are re-ranked periodically (e.g., every
-// 100 iterations)"): only a small moving window T of top-ranked candidates
-// is evaluated exactly each step, and the full ranking is refreshed every
-// `lazy_rerank_interval` selections.
+// instances. This takes the place of the paper's heuristic speedup
+// (periodic re-ranking of the remaining vectors), which changed the
+// ordering and was no faster.
 #pragma once
 
 #include <cstdint>
@@ -49,12 +47,6 @@ const char* selection_rule_name(SelectionRule s);
 
 struct MeloOrderingOptions {
   SelectionRule selection = SelectionRule::kMagnitude;
-  /// Use the lazy-ranking speedup instead of the exact scan.
-  bool lazy_ranking = false;
-  /// Initial size of the candidate window T (grows by 1 per selection).
-  std::size_t lazy_window = 32;
-  /// Selections between full re-rankings of the unchosen vectors.
-  std::size_t lazy_rerank_interval = 64;
   /// Start the ordering from the (start_rank+1)-th longest vector; distinct
   /// ranks give the diversified multi-start orderings Table 5 uses.
   std::size_t start_rank = 0;
@@ -63,14 +55,13 @@ struct MeloOrderingOptions {
   /// deterministic order so the result is still a full permutation — a
   /// valid, best-effort ordering rather than an aborted one.
   ComputeBudget* budget = nullptr;
-  /// Compute-kernel threading (see util/parallel.h). The exact scan's
-  /// snapshot dots and the lazy path's re-rank and window argmax run in
-  /// fixed blocks; the exact scan's walk is serial. Orderings are
-  /// bit-identical for every thread count — including the serial default.
+  /// Compute-kernel threading (see util/parallel.h). The snapshot dots
+  /// run in fixed blocks; the walk is serial. Orderings are bit-identical
+  /// for every thread count — including the serial default.
   ParallelConfig parallel;
 };
 
-/// Work counters of the exact scan (the lazy path leaves them alone).
+/// Work counters of the exact scan.
 struct MeloOrderingStats {
   /// key() evaluations; a full scan would do n (n - 1) / 2.
   std::uint64_t key_evaluations = 0;

@@ -21,9 +21,6 @@ MeloOrderingOptions PipelineConfig::ordering_options(
     std::size_t start_rank) const {
   MeloOrderingOptions oopts;
   oopts.selection = selection;
-  oopts.lazy_ranking = lazy_ranking;
-  oopts.lazy_window = lazy_window;
-  oopts.lazy_rerank_interval = lazy_rerank_interval;
   oopts.start_rank = start_rank;
   oopts.parallel = parallel;
   return oopts;

@@ -57,9 +57,6 @@ struct PipelineConfig {
   bool readjust_h = true;
   /// Override H (> 0); 0 = automatic (default_h / readjusted_h).
   double h_override = 0.0;
-  bool lazy_ranking = false;
-  std::size_t lazy_window = 32;
-  std::size_t lazy_rerank_interval = 64;
   model::NetModel net_model = model::NetModel::kPartitioningSpecific;
   /// Diversified orderings: run r uses the (r+1)-th longest vector as the
   /// seed vertex; the best split across runs wins.

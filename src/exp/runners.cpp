@@ -270,33 +270,6 @@ Table run_fig_quality_vs_d(const RunnerOptions& opts,
   return t;
 }
 
-Table run_ablation_lazy(const RunnerOptions& opts) {
-  Table t({"benchmark", "exact-cut", "exact-s", "lazy-cut", "lazy-s",
-           "speedup", "cut-delta%"});
-  for (const Benchmark& b : paper_suite(opts.scale, opts.limit)) {
-    const graph::Hypergraph h = load(b);
-    double cut[2] = {0, 0};
-    double secs[2] = {0, 0};
-    for (int lazy = 0; lazy < 2; ++lazy) {
-      core::MeloOptions m = base_melo_options(opts);
-      m.lazy_ranking = lazy == 1;
-      const core::MeloBipartitionResult r =
-          core::melo_bipartition(h, m, kMinFraction);
-      secs[lazy] = r.ordering_seconds;
-      cut[lazy] = r.cut;
-    }
-    t.begin_row();
-    t.add(b.name);
-    t.add_num(cut[0], 0);
-    t.add_num(secs[0], 4);
-    t.add_num(cut[1], 0);
-    t.add_num(secs[1], 4);
-    t.add_num(secs[1] > 0 ? secs[0] / secs[1] : 0.0, 1);
-    t.add_num(improvement_pct(cut[0], cut[1]), 1);
-  }
-  return t;
-}
-
 Table run_ablation_net_models(const RunnerOptions& opts) {
   Table t({"benchmark", "MELO-std", "MELO-ps", "MELO-frankle", "RSB-std",
            "RSB-ps", "RSB-frankle"});

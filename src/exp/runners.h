@@ -59,9 +59,6 @@ Table run_table5_bipart(const RunnerOptions& opts);
 Table run_fig_quality_vs_d(const RunnerOptions& opts,
                            const std::string& benchmark, std::size_t max_d);
 
-/// Ablation: exact O(dn^2) selection vs the lazy-ranking speedup.
-Table run_ablation_lazy(const RunnerOptions& opts);
-
 /// Ablation: net model choice (standard / partitioning-specific / Frankle)
 /// for MELO and RSB.
 Table run_ablation_net_models(const RunnerOptions& opts);

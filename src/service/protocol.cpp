@@ -127,9 +127,6 @@ void write_request(const PartitionRequest& req, std::ostream& out) {
       << " selection=" << core::selection_rule_token(p.selection)
       << " readjust=" << (p.readjust_h ? 1 : 0)
       << strprintf(" h=%.17g", p.h_override)
-      << " lazy=" << (p.lazy_ranking ? 1 : 0)
-      << " lazy_window=" << p.lazy_window
-      << " lazy_rerank=" << p.lazy_rerank_interval
       << " net_model=" << core::net_model_token(p.net_model)
       << " starts=" << p.num_starts << " seed=" << p.seed;
   // Emitted only for the non-default strategy: absent means flat, so
@@ -172,11 +169,14 @@ PartitionRequest parse_request(const std::string& header_line,
     } else if (key == "h") {
       p.h_override = parse_double(value, "h");
     } else if (key == "lazy") {
-      p.lazy_ranking = parse_bool_field(value, key);
-    } else if (key == "lazy_window") {
-      p.lazy_window = parse_size(value, "lazy_window");
-    } else if (key == "lazy_rerank") {
-      p.lazy_rerank_interval = parse_size(value, "lazy_rerank");
+      // Retired with lazy ranking, like solver=block: frames from older
+      // clients carry lazy=0 and two sizes, which are checked and ignored;
+      // lazy=1 asks for the removed path.
+      if (value != "0")
+        throw Error("bad_request: field lazy: lazy ranking was removed, "
+                    "only 0 is accepted, got '" + value + "'");
+    } else if (key == "lazy_window" || key == "lazy_rerank") {
+      parse_size(value, key);
     } else if (key == "net_model") {
       p.net_model = parse_enum_field(core::parse_net_model, value);
     } else if (key == "starts") {

@@ -13,7 +13,6 @@
 //
 //   REQUEST id=<tok> k=<int> balance=<float> d=<int> trivial=<0|1>
 //           scaling=<tok> selection=<tok> readjust=<0|1> h=<float>
-//           lazy=<0|1> lazy_window=<int> lazy_rerank=<int>
 //           net_model=<tok> starts=<int> seed=<u64> graph_lines=<int>
 //   <graph_lines lines of hMETIS .hgr text>
 //   END
@@ -28,8 +27,10 @@
 // `error=<message to end of line>` and carry no ASSIGN line. Header keys
 // may appear in any order on parse but are always emitted in the order
 // above; unknown keys are rejected (a typo must not silently change an
-// experiment). Floats are serialized with %.17g so they round-trip to the
-// exact same double.
+// experiment). The fields retired with lazy ranking still parse when they
+// ask for the exact scan, so older clients keep working (SERVING.md).
+// Floats are serialized with %.17g so they round-trip to the exact same
+// double.
 //
 // The service also understands three control lines (no END framing):
 // `PING` -> `PONG`, `METRICS` -> a `METRICS`-headed key/value frame, and

@@ -1,7 +1,7 @@
 // Shared parallel compute-kernel layer: a small reusable thread pool plus
 // deterministic parallel_for / parallel_reduce utilities.
 //
-// Every hot path in the library (the MELO greedy argmax, Lanczos SpMV and
+// Every hot path in the library (the MELO snapshot dots, Lanczos SpMV and
 // reorthogonalization panels, the k-means assignment step, the DP-RP table
 // fill) funnels through these two primitives. Two contracts matter more
 // than raw speed:
@@ -158,39 +158,6 @@ T parallel_reduce(const ParallelConfig& cfg, std::size_t begin,
   for (std::size_t b = 0; b < blocks; ++b)
     acc = combine(std::move(acc), std::move(partials[b]));
   return acc;
-}
-
-/// Keyed argmax over [0, count): returns the index with the largest
-/// eval(i) among indices where valid(i), ties broken toward the smaller
-/// index. The (key, index) ordering makes the result independent of block
-/// structure and thread count — and identical to a serial ascending scan
-/// that replaces only on strictly-greater keys. Returns `count` when no
-/// index is valid.
-template <class Eval, class Valid>
-std::size_t parallel_argmax(const ParallelConfig& cfg, std::size_t count,
-                            Eval&& eval, Valid&& valid) {
-  struct Best {
-    double key;
-    std::size_t index;
-  };
-  const Best none{0.0, count};
-  const Best best = parallel_reduce<Best>(
-      cfg, 0, count, none,
-      [&](std::size_t lo, std::size_t hi) {
-        Best b = none;
-        for (std::size_t i = lo; i < hi; ++i) {
-          if (!valid(i)) continue;
-          const double key = eval(i);
-          if (b.index == count || key > b.key) b = Best{key, i};
-        }
-        return b;
-      },
-      [count](Best a, Best b) {
-        if (a.index == count) return b;
-        if (b.index == count) return a;
-        return b.key > a.key ? b : a;  // ties: a has the smaller index
-      });
-  return best.index;
 }
 
 }  // namespace specpart

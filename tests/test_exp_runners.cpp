@@ -83,7 +83,6 @@ TEST(Runners, FigSeriesMonotoneDColumn) {
 
 TEST(Runners, AblationsProduceRows) {
   const RunnerOptions opts = tiny();
-  EXPECT_EQ(run_ablation_lazy(opts).num_rows(), 2u);
   EXPECT_EQ(run_ablation_net_models(opts).num_rows(), 2u);
   EXPECT_EQ(run_ablation_h_readjust(opts).num_rows(), 2u);
   EXPECT_EQ(run_ablation_selection(opts).num_rows(), 2u);

@@ -581,24 +581,6 @@ TEST(MeloOrder, MagnitudeSchemeGroupsAlignedVectors) {
   EXPECT_TRUE(first == x_group || first == y_group);
 }
 
-TEST(MeloOrder, LazyRankingIsPermutationAndClose) {
-  const graph::Hypergraph h = planted(120, 4, 3);
-  MeloOptions exact = MeloOptions{};
-  exact.num_eigenvectors = 8;
-  MeloOptions lazy = exact;
-  lazy.lazy_ranking = true;
-  const auto runs_exact = melo_orderings(h, exact);
-  const auto runs_lazy = melo_orderings(h, lazy);
-  EXPECT_TRUE(part::is_permutation(runs_lazy[0].ordering, h.num_nodes()));
-  // Quality sanity: the lazy ordering's best ratio-cut split is within 3x
-  // of the exact one's (normally they are near-identical).
-  const double r_exact =
-      part::best_ratio_cut_split(h, runs_exact[0].ordering).objective;
-  const double r_lazy =
-      part::best_ratio_cut_split(h, runs_lazy[0].ordering).objective;
-  EXPECT_LT(r_lazy, 3.0 * r_exact + 1e-12);
-}
-
 TEST(MeloOrder, ReadjustCallbackFiresOnce) {
   const VectorInstance inst = make_instance(
       {{1, 0}, {0.5, 0.5}, {0, 1}, {1, 1}, {0.3, 0.7}, {0.9, 0.2}});

@@ -1,6 +1,6 @@
 // Tests for the parallel compute-kernel layer (util/parallel.h):
 // determinism of the fixed-block reductions across thread counts, and
-// equivalence of every parallelized hot path (MELO argmax, Lanczos, SpMV,
+// equivalence of every parallelized hot path (MELO ordering, Lanczos, SpMV,
 // k-means assignment, DP-RP table fill) with the serial reference.
 //
 // Thread counts are oversubscribed on small machines on purpose — the
@@ -110,38 +110,6 @@ TEST(Parallel, ReduceEmptyAndSingleBlock) {
             100.0);
 }
 
-TEST(Parallel, ArgmaxMatchesSerialFirstMaxScan) {
-  Rng rng(7);
-  const std::size_t n = 5000;
-  std::vector<double> keys(n);
-  std::vector<char> valid(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    keys[i] = static_cast<double>(rng.next_below(50));  // many exact ties
-    valid[i] = rng.next_below(4) != 0;
-  }
-  // Serial reference: ascending scan, replace on strictly-greater key.
-  std::size_t expected = n;
-  double best = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!valid[i]) continue;
-    if (expected == n || keys[i] > best) {
-      best = keys[i];
-      expected = i;
-    }
-  }
-  for (const std::size_t t : tested_thread_counts()) {
-    const std::size_t got = parallel_argmax(
-        cfg(t, 64), n, [&](std::size_t i) { return keys[i]; },
-        [&](std::size_t i) { return valid[i] != 0; });
-    EXPECT_EQ(got, expected) << t << " threads";
-  }
-  // No valid index at all -> n.
-  EXPECT_EQ(parallel_argmax(
-                cfg(8, 64), n, [&](std::size_t i) { return keys[i]; },
-                [](std::size_t) { return false; }),
-            n);
-}
-
 TEST(Parallel, ExceptionsPropagateToCaller) {
   EXPECT_THROW(
       parallel_for(cfg(4, 16), 0, 1000,
@@ -201,20 +169,6 @@ core::VectorInstance random_instance(std::size_t n, std::size_t d,
 TEST(ParallelEquivalence, MeloExactOrderingBitIdentical) {
   const core::VectorInstance inst = random_instance(600, 8, 11);
   core::MeloOrderingOptions opts;
-  const part::Ordering reference = core::melo_order_vectors(inst, opts);
-  for (const std::size_t t : tested_thread_counts()) {
-    opts.parallel = ParallelConfig::with_threads(t);
-    EXPECT_EQ(core::melo_order_vectors(inst, opts), reference)
-        << t << " threads";
-  }
-}
-
-TEST(ParallelEquivalence, MeloLazyOrderingBitIdentical) {
-  const core::VectorInstance inst = random_instance(600, 8, 12);
-  core::MeloOrderingOptions opts;
-  opts.lazy_ranking = true;
-  opts.lazy_window = 24;
-  opts.lazy_rerank_interval = 40;
   const part::Ordering reference = core::melo_order_vectors(inst, opts);
   for (const std::size_t t : tested_thread_counts()) {
     opts.parallel = ParallelConfig::with_threads(t);

@@ -551,7 +551,7 @@ TEST(Protocol, RequestRoundTripIsByteStable) {
   req.k = 4;
   req.balance = 0.4;
   req.pipeline.scaling = core::CoordScaling::kGap;
-  req.pipeline.lazy_ranking = true;
+  req.pipeline.selection = core::SelectionRule::kProjection;
   req.pipeline.seed = 99;
 
   std::ostringstream first;
@@ -562,6 +562,7 @@ TEST(Protocol, RequestRoundTripIsByteStable) {
   EXPECT_EQ(parsed->id, "roundtrip");
   EXPECT_EQ(parsed->k, 4u);
   EXPECT_EQ(parsed->pipeline.scaling, core::CoordScaling::kGap);
+  EXPECT_EQ(parsed->pipeline.selection, core::SelectionRule::kProjection);
   EXPECT_EQ(parsed->graph.num_nodes(), req.graph.num_nodes());
   EXPECT_EQ(parsed->graph.num_nets(), req.graph.num_nets());
 
@@ -648,14 +649,36 @@ TEST(Protocol, SolverFieldDefaultsToScalarAndRoundTrips) {
   EXPECT_EQ(reserialized.str(), scalar_wire.str());
 }
 
+TEST(Protocol, RetiredLazyFieldsParseAndAreDropped) {
+  // Frames from clients that predate the removal of lazy ranking carry
+  // lazy=0 and the two window sizes: they parse to the same request and
+  // re-serialize without them. A malformed size is still an error.
+  std::ostringstream current;
+  write_request(make_request(), current);
+  std::string legacy = current.str();
+  legacy.insert(legacy.find(" graph_lines="),
+                " lazy=0 lazy_window=32 lazy_rerank=64");
+  std::istringstream legacy_in(legacy);
+  const std::optional<PartitionRequest> parsed = read_request(legacy_in);
+  ASSERT_TRUE(parsed.has_value());
+  std::ostringstream reserialized;
+  write_request(*parsed, reserialized);
+  EXPECT_EQ(reserialized.str(), current.str());
+
+  std::istringstream bad_size(
+      "REQUEST id=x lazy_window=x graph_lines=0\nEND\n");
+  EXPECT_THROW(read_request(bad_size), Error);
+}
+
 TEST(Protocol, UnknownEnumTokenIsStructuredBadRequest) {
   // One rule for every enum field: a typo is a bad_request naming the
   // token, whichever field carries it. solver=block names the retired
-  // block Lanczos backend; it gets the same answer.
+  // block Lanczos backend and lazy=1 the retired lazy ranking; they get the
+  // same answer.
   const std::pair<std::string, std::string> cases[] = {
       {"scaling", "bogus"},  {"selection", "bogus"}, {"net_model", "bogus"},
       {"solver", "bogus"},   {"solver", "block"},    {"strategy", "bogus"},
-      {"objective", "bogus"}};
+      {"objective", "bogus"}, {"lazy", "1"}};
   for (const auto& [field, token] : cases) {
     std::istringstream bad("REQUEST id=x " + field + "=" + token +
                            " graph_lines=0\nEND\n");
@@ -992,14 +1015,12 @@ TEST(PipelineConfig, FlowsIntoStageOptions) {
   cfg.num_eigenvectors = 12;
   cfg.include_trivial = false;
   cfg.seed = 1234;
-  cfg.lazy_ranking = true;
-  cfg.lazy_window = 7;
+  cfg.selection = core::SelectionRule::kCosine;
   const spectral::EmbeddingOptions e = cfg.embedding_options();
   EXPECT_EQ(e.count, 12u);
   EXPECT_TRUE(e.skip_trivial);
   const core::MeloOrderingOptions o = cfg.ordering_options(2);
-  EXPECT_TRUE(o.lazy_ranking);
-  EXPECT_EQ(o.lazy_window, 7u);
+  EXPECT_EQ(o.selection, core::SelectionRule::kCosine);
   EXPECT_EQ(o.start_rank, 2u);
 }
 
