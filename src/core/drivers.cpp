@@ -64,7 +64,6 @@ std::vector<MeloOrderingRun> melo_orderings(const graph::Hypergraph& h,
   Diagnostics* diag = opts.diagnostics;
   ComputeBudget* budget = opts.budget;
 
-  Timer eigen_timer;
   // Lazy clique model: the Laplacian is assembled fused from the pins on
   // first use; a caching provider that hits never expands the model at all.
   model::ModelBuildOptions mbopts;
@@ -99,8 +98,6 @@ std::vector<MeloOrderingRun> melo_orderings(const graph::Hypergraph& h,
     if (diag != nullptr)
       diag->add_counter("eigensolve", "auto_d_selected", keep);
   }
-  const double eigen_seconds = eigen_timer.seconds();
-
   // Consume the solver outcome instead of ignoring it: a degraded basis
   // lowers the effective d (the paper's own "fewer eigenvectors still
   // work" justifies running on the converged prefix); an unconverged one
@@ -168,7 +165,6 @@ std::vector<MeloOrderingRun> melo_orderings(const graph::Hypergraph& h,
                                         &ordering_stats);
     }
     run.ordering_seconds = order_timer.seconds();
-    run.eigen_seconds = eigen_seconds;
     run.budget_exhausted = basis.budget_exhausted || !budget_ok(budget);
     if (run.budget_exhausted && diag != nullptr)
       diag->mark_budget_exhausted("ordering");
@@ -198,7 +194,6 @@ std::vector<MeloOrderingRun> melo_orderings(const graph::Hypergraph& h,
       run.h_final = h0;
       run.eigen_converged = basis.converged;
       run.eigenvectors_used = d_effective;
-      run.eigen_seconds = eigen_seconds;
       run.budget_exhausted = basis.budget_exhausted || !budget_ok(budget);
       const linalg::Vec f = basis.vectors.col(col);
       Timer order_timer;
@@ -236,8 +231,6 @@ MeloBipartitionResult melo_bipartition(const graph::Hypergraph& h,
             : (min_fraction > 0.0
                    ? part::best_min_cut_split(h, run.ordering, min_fraction)
                    : part::best_ratio_cut_split(h, run.ordering));
-    best.ordering_seconds += run.ordering_seconds;
-    best.eigen_seconds = run.eigen_seconds;
     best.eigen_converged = run.eigen_converged;
     best.eigenvectors_used = run.eigenvectors_used;
     best.budget_exhausted = best.budget_exhausted || run.budget_exhausted;
@@ -273,8 +266,6 @@ MeloMultiwayResult melo_multiway(const graph::Hypergraph& h, std::uint32_t k,
   bool have = false;
   for (const MeloOrderingRun& run : runs) {
     const spectral::DprpResult dp = spectral::dprp_split(h, run.ordering, dopts);
-    best.ordering_seconds += run.ordering_seconds;
-    best.eigen_seconds = run.eigen_seconds;
     best.eigen_converged = run.eigen_converged;
     best.eigenvectors_used = run.eigenvectors_used;
     best.budget_exhausted = best.budget_exhausted || run.budget_exhausted;

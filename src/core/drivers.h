@@ -61,7 +61,6 @@ struct MeloOrderingRun {
   part::Ordering ordering;
   double h_initial = 0.0;
   double h_final = 0.0;
-  double eigen_seconds = 0.0;     // shared eigensolve (same for all runs)
   double ordering_seconds = 0.0;  // this run's greedy construction
   /// True when every eigenvector actually used met the solver tolerance.
   bool eigen_converged = true;
@@ -86,8 +85,6 @@ struct MeloBipartitionResult {
   /// partition (part/sweep_cut.h) — the optimized objective under the
   /// normalized model, reported for comparison under the default too.
   double conductance = 0.0;
-  double eigen_seconds = 0.0;
-  double ordering_seconds = 0.0;  // sum over starts
   /// Eigensolver outcome actually consumed by the run (see MeloOrderingRun).
   bool eigen_converged = true;
   std::size_t eigenvectors_used = 0;
@@ -108,8 +105,6 @@ struct MeloMultiwayResult {
   part::Partition partition;
   part::Ordering ordering;
   double scaled_cost = 0.0;
-  double eigen_seconds = 0.0;
-  double ordering_seconds = 0.0;
   bool eigen_converged = true;
   std::size_t eigenvectors_used = 0;
   bool budget_exhausted = false;

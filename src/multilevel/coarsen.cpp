@@ -1,9 +1,13 @@
 #include "multilevel/coarsen.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <map>
 
 #include "linalg/csr.h"
+#include "model/assembly.h"
+#include "util/error.h"
 
 namespace specpart::multilevel {
 
@@ -11,11 +15,19 @@ namespace {
 
 constexpr std::uint32_t kUnmatched = std::numeric_limits<std::uint32_t>::max();
 
+/// build_hierarchy's depth cap.
+constexpr std::size_t kMaxLevels = 40;
+/// build_hierarchy stops when a level keeps more than this fraction of its
+/// fine vertices.
+constexpr double kMinShrinkFactor = 0.75;
+
+/// coarsen_hypergraph pairs on nets of at most this many pins: larger
+/// nets carry diffuse connectivity and dominate the clique expansion.
+constexpr std::size_t kMatchingNetCap = 32;
+
 }  // namespace
 
-CoarseLevel coarsen_once(const linalg::SymCsrMatrix& fine,
-                         const ParallelConfig& parallel,
-                         bool galerkin_general) {
+PairMatching match_pairs(const linalg::SymCsrMatrix& fine) {
   const std::size_t n = fine.size();
   std::vector<std::uint32_t> cid(n, kUnmatched);
   std::uint32_t next = 0;
@@ -76,6 +88,15 @@ CoarseLevel coarsen_once(const linalg::SymCsrMatrix& fine,
       ++next;
     }
   }
+  return {std::move(cid), next};
+}
+
+CoarseLevel coarsen_once(const linalg::SymCsrMatrix& fine,
+                         const ParallelConfig& parallel,
+                         bool galerkin_general) {
+  const std::size_t n = fine.size();
+  PairMatching matching = match_pairs(fine);
+  const std::vector<std::uint32_t>& cid = matching.cluster_of;
 
   // Coarse operator through the shared assembler. Default path: stream
   // every crossing fine edge once (i < j picks one of the CSR's two
@@ -85,7 +106,7 @@ CoarseLevel coarsen_once(const linalg::SymCsrMatrix& fine,
   // are dropped, which for a graph Laplacian is exactly the Galerkin
   // contraction P^T L P. General path: see the galerkin_general branch.
   linalg::CsrAssembler& assembler = linalg::thread_assembly_workspace();
-  assembler.begin(next);
+  assembler.begin(matching.num_clusters);
   assembler.reserve(fine.nnz());
   linalg::CsrStorage storage;
   if (galerkin_general) {
@@ -110,10 +131,51 @@ CoarseLevel coarsen_once(const linalg::SymCsrMatrix& fine,
   }
 
   CoarseLevel level;
-  level.coarse_of = std::move(cid);
+  level.coarse_of = std::move(matching.cluster_of);
   level.lap = linalg::SymCsrMatrix(std::move(storage));
   level.fine_n = n;
   return level;
+}
+
+graph::Hypergraph coarsen_hypergraph(const graph::Hypergraph& h,
+                                     const std::vector<double>& fine_weight,
+                                     std::vector<std::uint32_t>* coarse_of,
+                                     std::vector<double>* coarse_weight) {
+  SP_ASSERT(fine_weight.size() == h.num_nodes());
+  SP_ASSERT(coarse_of != nullptr && coarse_weight != nullptr);
+
+  model::ModelBuildOptions capped;
+  capped.max_net_size = kMatchingNetCap;
+  PairMatching matching = match_pairs(
+      model::build_clique_laplacian(h, model::NetModel::kStandard, capped));
+  *coarse_of = std::move(matching.cluster_of);
+  coarse_weight->assign(matching.num_clusters, 0.0);
+  for (graph::NodeId v = 0; v < h.num_nodes(); ++v)
+    (*coarse_weight)[(*coarse_of)[v]] += fine_weight[v];
+
+  // Project nets, merging duplicates by summed weight.
+  std::map<std::vector<graph::NodeId>, double> merged;
+  std::vector<graph::NodeId> pins;
+  for (graph::NetId e = 0; e < h.num_nets(); ++e) {
+    pins.clear();
+    for (graph::NodeId v : h.net(e)) pins.push_back((*coarse_of)[v]);
+    std::sort(pins.begin(), pins.end());
+    pins.erase(std::unique(pins.begin(), pins.end()), pins.end());
+    if (pins.size() < 2) continue;  // net collapsed inside a coarse vertex
+    merged[pins] += h.net_weight(e);
+  }
+  std::vector<std::size_t> offsets{0};
+  std::vector<graph::NodeId> net_pins;
+  std::vector<double> weights;
+  offsets.reserve(merged.size() + 1);
+  weights.reserve(merged.size());
+  for (const auto& [key, w] : merged) {
+    net_pins.insert(net_pins.end(), key.begin(), key.end());
+    offsets.push_back(net_pins.size());
+    weights.push_back(w);
+  }
+  return graph::Hypergraph::from_csr(matching.num_clusters, std::move(offsets),
+                                     std::move(net_pins), std::move(weights));
 }
 
 std::vector<CoarseLevel> build_hierarchy(const linalg::SymCsrMatrix& finest,
@@ -122,12 +184,12 @@ std::vector<CoarseLevel> build_hierarchy(const linalg::SymCsrMatrix& finest,
   while (true) {
     const linalg::SymCsrMatrix& cur =
         levels.empty() ? finest : levels.back().lap;
-    if (cur.size() <= opts.coarsest_size || levels.size() >= opts.max_levels)
+    if (cur.size() <= opts.coarsest_size || levels.size() >= kMaxLevels)
       break;
     CoarseLevel level =
         coarsen_once(cur, opts.parallel, opts.galerkin_general);
     if (static_cast<double>(level.coarse_n()) >
-        opts.min_shrink_factor * static_cast<double>(cur.size()))
+        kMinShrinkFactor * static_cast<double>(cur.size()))
       break;  // matching stalled; deeper levels would not pay for themselves
     levels.push_back(std::move(level));
   }

@@ -1,7 +1,9 @@
-// Laplacian coarsening for the multilevel eigensolver (vcycle.h).
+// Heavy-edge coarsening: the one pairing primitive behind both multilevel
+// schemes — the multilevel eigensolver (vcycle.h) and the multilevel FM
+// baseline (part/multilevel.h).
 //
-// Each level contracts the clique-expanded graph by heavy-edge matching on
-// the Laplacian's off-diagonal weights — the net-aware weights the clique
+// match_pairs pairs the vertices of a Laplacian-like matrix by heavy-edge
+// matching on its off-diagonal weights — the net-aware weights the clique
 // model assigned — followed by a two-hop pass that pairs leftover vertices
 // through a common neighbor (the METIS-style rescue for star-heavy
 // netlists, where plain matching strands most vertices). Clusters never
@@ -9,6 +11,10 @@
 // spectrum and silently *lose* low eigenvectors — a failure converged Ritz
 // residuals cannot detect, because the refined basis converges cleanly to
 // the wrong invariant subspace.
+//
+// The V-cycle contracts the matrix itself (coarsen_once, build_hierarchy);
+// the FM baseline contracts the netlist (coarsen_hypergraph), pairing on
+// its standard-clique Laplacian.
 //
 // The coarse operator is the Galerkin projection P^T L P under the
 // piecewise-constant prolongation P (fine vertex r maps to coarse vertex
@@ -22,6 +28,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "graph/hypergraph.h"
 #include "linalg/sparse.h"
 #include "util/parallel.h"
 
@@ -44,12 +51,6 @@ struct CoarseLevel {
 struct CoarsenOptions {
   /// Stop coarsening once this few vertices remain.
   std::size_t coarsest_size = 400;
-  /// Hard cap on hierarchy depth.
-  std::size_t max_levels = 40;
-  /// Stop when a level shrinks by less than this factor (coarse_n >
-  /// min_shrink_factor * fine_n means matching stalled; further levels
-  /// would add cost without reducing the coarse solve).
-  double min_shrink_factor = 0.75;
   /// Threading for the coarse-matrix assembly merge (the matching itself
   /// is serial by construction — its greedy order is part of the output).
   ParallelConfig parallel;
@@ -63,18 +64,43 @@ struct CoarsenOptions {
   bool galerkin_general = false;
 };
 
-/// One heavy-edge + two-hop matching step over `fine` (a Laplacian-like
-/// symmetric matrix: off-diagonal entries are negated connection weights,
-/// which holds for both L and the normalized D^{-1/2} L D^{-1/2}).
-/// Deterministic: the matching scans vertices in ascending order and ties
-/// break toward the first-seen heaviest neighbor. `galerkin_general`
-/// selects the exact P^T M P contraction (see CoarsenOptions).
+/// A pairing of fine vertices into clusters of one or two.
+struct PairMatching {
+  /// fine vertex -> cluster id, ids 0..num_clusters-1 in the order the
+  /// clusters formed (heavy-edge pairs, then two-hop pairs and singletons).
+  std::vector<std::uint32_t> cluster_of;
+  std::size_t num_clusters = 0;
+};
+
+/// Heavy-edge + two-hop pairing over `fine` (a Laplacian-like symmetric
+/// matrix: off-diagonal entries are negated connection weights, which
+/// holds for both L and the normalized D^{-1/2} L D^{-1/2}).
+/// Deterministic: both passes scan vertices in ascending order and ties
+/// break toward the first-seen heaviest neighbor, which is the smallest id.
+PairMatching match_pairs(const linalg::SymCsrMatrix& fine);
+
+/// One coarsening step over `fine`: match_pairs, then the Galerkin
+/// contraction. `galerkin_general` selects the exact P^T M P contraction
+/// (see CoarsenOptions).
 CoarseLevel coarsen_once(const linalg::SymCsrMatrix& fine,
                          const ParallelConfig& parallel = {},
                          bool galerkin_general = false);
 
-/// Full hierarchy: repeated coarsen_once until coarsest_size, max_levels
-/// or a matching stall. levels[0] contracts `finest`; levels[k] contracts
+/// One coarsening step of a netlist (the multilevel FM baseline's):
+/// match_pairs on the standard-clique Laplacian of `h` over nets of at
+/// most 32 pins, then each net projected onto the clusters — dropped when
+/// it collapses into one, merged with its duplicates by summed weight — so
+/// a coarse partition cuts the same net weight as its projection. Fills
+/// `coarse_of` (fine vertex -> match_pairs' cluster id) and
+/// `coarse_weight` (coarse vertex -> total fine weight).
+graph::Hypergraph coarsen_hypergraph(const graph::Hypergraph& h,
+                                     const std::vector<double>& fine_weight,
+                                     std::vector<std::uint32_t>* coarse_of,
+                                     std::vector<double>* coarse_weight);
+
+/// Full hierarchy: repeated coarsen_once until coarsest_size, a depth of
+/// 40 levels, or a matching stall (a level keeping more than 3/4 of its
+/// vertices). levels[0] contracts `finest`; levels[k] contracts
 /// levels[k-1].lap. May return an empty vector (finest is already small).
 std::vector<CoarseLevel> build_hierarchy(const linalg::SymCsrMatrix& finest,
                                          const CoarsenOptions& opts = {});

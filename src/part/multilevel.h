@@ -1,8 +1,11 @@
 // Multilevel bipartitioning: coarsen -> initial partition -> uncoarsen +
 // refine. The paper's survey cites multilevel implementations of spectral
-// bisection [6]; this module provides the general V-cycle with heavy-edge
-// matching coarsening and weighted-FM refinement, usable with either an FM
-// or a spectral initial partitioner at the coarsest level.
+// bisection [6]; this module is the FM driver of that V-cycle: it coarsens
+// with the heavy-edge pairing the multilevel eigensolver also uses
+// (multilevel::coarsen_hypergraph), partitions the coarsest netlist with
+// multi-start FM or spectrally, and refines each projection with weighted
+// FM. The coarsening floor, the stall factor and the FM pass and start
+// counts are constants in multilevel.cpp.
 #pragma once
 
 #include <cstdint>
@@ -14,21 +17,14 @@
 namespace specpart::part {
 
 struct MultilevelOptions {
-  /// Stop coarsening once this few vertices remain.
-  std::size_t coarsest_size = 64;
-  /// Stop coarsening when a level shrinks by less than this factor
-  /// (protects against matching stalls on star-heavy netlists).
-  double min_shrink_factor = 0.9;
   /// Balance constraint on the ORIGINAL vertices.
   BalanceConstraint balance{0.45, 0.55};
   /// Use the spectral (SB) initial partitioner at the coarsest level
   /// instead of multi-start FM — the Barnard-Simon "multilevel spectral
   /// bisection" configuration.
   bool spectral_initial = false;
-  /// FM settings for the refinement sweeps (balance/vertex_weights fields
-  /// are overridden internally per level).
-  std::size_t refine_passes = 8;
-  std::size_t initial_starts = 8;
+  /// Seeds the FM starts and refinement sweeps (coarsening is
+  /// deterministic and takes no seed).
   std::uint64_t seed = 0x9137EDULL;
 };
 
@@ -42,14 +38,5 @@ struct MultilevelResult {
 /// Multilevel 2-way partitioning of a netlist.
 MultilevelResult multilevel_bipartition(const graph::Hypergraph& h,
                                         const MultilevelOptions& opts);
-
-/// One heavy-edge-matching coarsening step, exposed for tests: returns the
-/// coarse hypergraph, fills `coarse_of` (fine vertex -> coarse vertex) and
-/// `coarse_weight` (coarse vertex -> total fine weight).
-graph::Hypergraph coarsen_once(const graph::Hypergraph& h,
-                               const std::vector<double>& fine_weight,
-                               std::uint64_t seed,
-                               std::vector<std::uint32_t>* coarse_of,
-                               std::vector<double>* coarse_weight);
 
 }  // namespace specpart::part

@@ -35,21 +35,6 @@ spectral::EigenBasis slice_basis(const spectral::EigenBasis& full,
   return out;
 }
 
-/// Solver/strategy tokens of the options that produce a basis, recorded
-/// in the spilled file header for operators inspecting a store directory.
-std::string solver_token_of(const spectral::EmbeddingOptions& opts) {
-  return std::string(core::solver_backend_token(opts.solver.backend));
-}
-std::string strategy_token_of(const spectral::EmbeddingOptions& opts) {
-  return std::string(core::solver_strategy_token(opts.solver.strategy));
-}
-/// Objective token, or "" for the default: the empty string keeps default
-/// spills writing headers byte-identical to the pre-objective layout.
-std::string objective_token_of(const spectral::EmbeddingOptions& opts) {
-  if (opts.objective == linalg::ObjectiveModel::kUnnormalized) return {};
-  return std::string(core::objective_model_token(opts.objective));
-}
-
 }  // namespace
 
 EmbeddingCache::EmbeddingCache(EmbeddingCacheOptions opts)
@@ -180,8 +165,8 @@ bool EmbeddingCache::disk_lookup(const Fingerprint& key, std::size_t count,
   // receive a truncated slice, breaking the determinism contract.
   std::optional<spectral::EigenBasis> full = disk_->load(key);
   if (!full) return false;
-  promote(key, *full, opts);
   out = slice_basis(*full, count);
+  promote(key, std::move(*full), opts);
   if (diag != nullptr)
     diag->record_stage("embedding_cache_disk_hit", timer.seconds());
   return true;
@@ -204,8 +189,9 @@ spectral::EigenBasis EmbeddingCache::insert(
   // bigger than RAM is the point of the tier. Failures are counted in
   // the store's stats and degrade to nothing: tier 1 proceeds normally.
   if (disk_ != nullptr && clean)
-    disk_->store(key, full, solver_token_of(opts), strategy_token_of(opts),
-                 objective_token_of(opts));
+    disk_->store(key, full, core::solver_backend_token(opts.solver.backend),
+                 core::solver_strategy_token(opts.solver.strategy),
+                 core::objective_model_token(opts.objective));
 
   std::vector<std::pair<Fingerprint, Entry>> spilled;
   {
@@ -220,50 +206,43 @@ spectral::EigenBasis EmbeddingCache::insert(
                              bytes, opts_.max_bytes));
       return sliced;
     }
-    if (entries_.find(key) == entries_.end()) {  // first concurrent solve wins
-      lru_.push_front(key);
-      Entry entry;
-      entry.basis = std::move(full);
-      entry.bytes = bytes;
-      entry.solver_token = solver_token_of(opts);
-      entry.strategy_token = strategy_token_of(opts);
-      entry.objective_token = objective_token_of(opts);
-      entry.lru_pos = lru_.begin();
-      entries_.emplace(key, std::move(entry));
-      stats_.bytes += bytes;
-      stats_.entries = entries_.size();
-      ++stats_.insertions;
-      evict_to_budget_locked(spilled);
-    }
+    admit_locked(key, std::move(full), bytes, opts, spilled);
   }
   spill(spilled);
   return sliced;
 }
 
 void EmbeddingCache::promote(const Fingerprint& key,
-                             const spectral::EigenBasis& full,
+                             spectral::EigenBasis full,
                              const spectral::EmbeddingOptions& opts) {
   std::vector<std::pair<Fingerprint, Entry>> spilled;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const std::size_t bytes = basis_bytes(full);
     if (bytes > opts_.max_bytes) return;  // disk-only entry; serve the slice
-    if (entries_.find(key) != entries_.end()) return;
-    lru_.push_front(key);
-    Entry entry;
-    entry.basis = full;
-    entry.bytes = bytes;
-    entry.solver_token = solver_token_of(opts);
-    entry.strategy_token = strategy_token_of(opts);
-    entry.objective_token = objective_token_of(opts);
-    entry.lru_pos = lru_.begin();
-    entries_.emplace(key, std::move(entry));
-    stats_.bytes += bytes;
-    stats_.entries = entries_.size();
-    ++stats_.insertions;
-    evict_to_budget_locked(spilled);
+    admit_locked(key, std::move(full), bytes, opts, spilled);
   }
   spill(spilled);
+}
+
+void EmbeddingCache::admit_locked(
+    const Fingerprint& key, spectral::EigenBasis&& basis, std::size_t bytes,
+    const spectral::EmbeddingOptions& opts,
+    std::vector<std::pair<Fingerprint, Entry>>& spilled) {
+  if (entries_.find(key) != entries_.end()) return;  // first solve wins
+  lru_.push_front(key);
+  Entry entry;
+  entry.basis = std::move(basis);
+  entry.bytes = bytes;
+  entry.solver_token = core::solver_backend_token(opts.solver.backend);
+  entry.strategy_token = core::solver_strategy_token(opts.solver.strategy);
+  entry.objective_token = core::objective_model_token(opts.objective);
+  entry.lru_pos = lru_.begin();
+  entries_.emplace(key, std::move(entry));
+  stats_.bytes += bytes;
+  stats_.entries = entries_.size();
+  ++stats_.insertions;
+  evict_to_budget_locked(spilled);
 }
 
 void EmbeddingCache::evict_to_budget_locked(

@@ -42,6 +42,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -156,10 +157,10 @@ class EmbeddingCache {
     std::size_t bytes = 0;
     /// Solver/strategy/objective tokens of the options that produced the
     /// basis, kept so an evicted entry can still be spilled to tier 2
-    /// (objective_token is empty for the default objective).
-    std::string solver_token;
-    std::string strategy_token;
-    std::string objective_token;
+    /// (views of core's token tables, which have static storage).
+    std::string_view solver_token;
+    std::string_view strategy_token;
+    std::string_view objective_token;
     /// Position in lru_ (front = most recently used).
     std::list<Fingerprint>::iterator lru_pos;
   };
@@ -186,8 +187,16 @@ class EmbeddingCache {
 
   /// Inserts an already-persisted basis into tier 1 (the promotion half
   /// of disk_lookup); spills any entries it evicts.
-  void promote(const Fingerprint& key, const spectral::EigenBasis& full,
+  void promote(const Fingerprint& key, spectral::EigenBasis full,
                const spectral::EmbeddingOptions& opts);
+
+  /// Tier-1 admission, under the lock: unless `key` is already present
+  /// (the first of concurrent solves wins), inserts `basis` with the
+  /// tokens of `opts` and evicts LRU entries beyond the byte budget into
+  /// `spilled`.
+  void admit_locked(const Fingerprint& key, spectral::EigenBasis&& basis,
+                    std::size_t bytes, const spectral::EmbeddingOptions& opts,
+                    std::vector<std::pair<Fingerprint, Entry>>& spilled);
 
   /// Evicts LRU entries beyond the byte budget into `spilled` so the
   /// caller can persist them after releasing the lock.

@@ -151,8 +151,9 @@ struct MetricsSnapshot {
 
   LatencyHistogram::Snapshot latency;
 
-  /// Stable key/value flattening: the METRICS wire frame and the text
-  /// rendering both derive from this, so they cannot disagree.
+  /// Stable key/value flattening, the source of the METRICS wire frame
+  /// (one METRIC line per pair, in this order). render_text() formats the
+  /// same fields separately, so a new field must be added to both.
   std::vector<std::pair<std::string, double>> key_values() const;
 
   /// Human-readable multi-line rendering (counters, cache, p50/p95/p99).

@@ -150,9 +150,13 @@ bool StoreIndex::store(const Fingerprint& key,
   }
 
   // Write outside the lock (the eigensolve-sized payload dominates), to
-  // a temp path unique to this key; concurrent stores of the same key
-  // write identical bytes, so last-rename-wins is harmless.
-  const std::string tmp = path + std::string(kTempSuffix);
+  // a temp path of this write alone. Concurrent stores of one key happen
+  // (the cache lets concurrent misses all solve and spill); a shared temp
+  // would let a later writer truncate the file an earlier one is about to
+  // publish. With one temp each, every rename publishes a complete file
+  // of identical bytes, and a reader keeps whichever file it opened.
+  const std::string tmp = path + "." + std::to_string(next_temp_++) +
+                          std::string(kTempSuffix);
   try {
     write_basis_file(tmp, key, basis, solver_token, strategy_token,
                      objective_token, opts_.chunk_cols);

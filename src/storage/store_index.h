@@ -9,9 +9,11 @@
 // `*.quarantined` — never delete evidence, never abort) and deletes
 // stale `*.tmp` leftovers from interrupted writes.
 //
-// Writes are temp-file + atomic-rename: a crash at any point leaves
-// either no entry or a complete, valid entry, never a readable-but-
-// corrupt one (the restart scan removes the orphaned temp). Reads that
+// Writes are temp-file + atomic-rename, each write to its own
+// `<key-hex>.eb.<n>.tmp`: a crash at any point leaves either no entry or
+// a complete, valid entry, never a readable-but-corrupt one (the restart
+// scan removes the orphaned temp), and concurrent writes of one key never
+// share, truncate or publish each other's temp. Reads that
 // hit corruption (bit rot, truncation after open) quarantine the entry
 // and report a miss so the caller recomputes — the tier degrades, it
 // never serves wrong bytes and never takes the process down.
@@ -22,6 +24,7 @@
 // the durability this tier exists for.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <list>
 #include <mutex>
@@ -112,6 +115,8 @@ class StoreIndex {
   void evict_to_budget_locked();
 
   StoreOptions opts_;
+  /// Numbers each write's temp file (see store()).
+  std::atomic<std::uint64_t> next_temp_{0};
   mutable std::mutex mutex_;
   std::list<Fingerprint> lru_;
   std::unordered_map<Fingerprint, Entry, FingerprintHash> entries_;

@@ -10,6 +10,7 @@
 #include "part/multilevel.h"
 #include "part/objectives.h"
 #include "model/clique_models.h"
+#include "multilevel/coarsen.h"
 #include "spectral/barnes.h"
 #include "spectral/embedding.h"
 #include "spectral/fkprobe.h"
@@ -162,7 +163,7 @@ TEST(Multilevel, CoarsenOnceShrinksAndPreservesWeight) {
   std::vector<std::uint32_t> coarse_of;
   std::vector<double> coarse_weight;
   const graph::Hypergraph coarse =
-      part::coarsen_once(h, weight, 1, &coarse_of, &coarse_weight);
+      multilevel::coarsen_hypergraph(h, weight, &coarse_of, &coarse_weight);
   EXPECT_LT(coarse.num_nodes(), h.num_nodes());
   EXPECT_GE(coarse.num_nodes(), h.num_nodes() / 2);  // pairs at most
   double total = 0.0;
@@ -179,7 +180,7 @@ TEST(Multilevel, CutConsistentAcrossProjection) {
   std::vector<std::uint32_t> coarse_of;
   std::vector<double> coarse_weight;
   const graph::Hypergraph coarse =
-      part::coarsen_once(h, weight, 2, &coarse_of, &coarse_weight);
+      multilevel::coarsen_hypergraph(h, weight, &coarse_of, &coarse_weight);
   Rng rng(3);
   std::vector<std::uint32_t> ca(coarse.num_nodes());
   for (auto& c : ca) c = rng.next_bool() ? 1 : 0;
@@ -215,7 +216,6 @@ TEST(Multilevel, MatchesFlatFmOnSmallInstance) {
   // Small instances skip coarsening entirely and reduce to FM.
   const graph::Hypergraph h = planted(40, 2, 14);
   part::MultilevelOptions opts;
-  opts.coarsest_size = 64;
   const part::MultilevelResult r = part::multilevel_bipartition(h, opts);
   EXPECT_EQ(r.levels, 0u);
   EXPECT_TRUE(opts.balance.satisfied(r.partition));

@@ -1,5 +1,6 @@
 // Tests for the multilevel eigensolver: coarsening (Galerkin conservation,
-// prolongation round-trip, hierarchy shape), the V-cycle (per-level Ritz
+// prolongation round-trip, hierarchy shape, the FM baseline's netlist
+// coarsening through the same pairing), the V-cycle (per-level Ritz
 // residual certification, eigenvalue agreement with the dense solver,
 // degenerate netlists), the end-to-end pipeline contract (MELO cut quality
 // within tolerance of the flat strategy, flat fallback on an unmet
@@ -163,6 +164,101 @@ TEST(Coarsen, HierarchyReachesTheConfiguredFloor) {
   // overshoot the floor by at most a factor of two).
   EXPECT_LE(levels.back().coarse_n(), opts.coarsest_size);
   EXPECT_GE(2 * levels.back().coarse_n(), opts.coarsest_size);
+}
+
+/// Star-heavy netlist: `hubs` hubs, each the center of `leaves` 2-pin
+/// nets, consecutive hubs joined by a 2-pin net. Heavy-edge matching pairs
+/// each hub with one neighbor and strands the remaining leaves, which only
+/// the two-hop pass can pair (through their hub).
+graph::Hypergraph star_netlist(std::size_t hubs, std::size_t leaves) {
+  const std::size_t per = leaves + 1;
+  std::vector<std::vector<graph::NodeId>> nets;
+  for (std::size_t s = 0; s < hubs; ++s) {
+    const auto hub = static_cast<graph::NodeId>(s * per);
+    for (std::size_t l = 1; l <= leaves; ++l)
+      nets.push_back({hub, static_cast<graph::NodeId>(hub + l)});
+    if (s + 1 < hubs)
+      nets.push_back({hub, static_cast<graph::NodeId>(hub + per)});
+  }
+  return graph::Hypergraph(hubs * per, nets);
+}
+
+TEST(Coarsen, HypergraphPairsThroughTheLaplacianMatcher) {
+  // The FM baseline's netlist coarsening is match_pairs on the
+  // standard-clique Laplacian over nets of at most 32 pins: a netlist with
+  // larger nets checks the cap, a star-heavy one the two-hop pass.
+  graph::GeneratorConfig cfg;
+  cfg.num_modules = 600;
+  cfg.num_nets = 660;
+  cfg.net_size_tail = 0.1;
+  cfg.max_net_size = 48;
+  cfg.seed = 24;
+  const graph::Hypergraph wide = graph::generate_netlist(cfg);
+  ASSERT_GT(wide.max_net_size(), 32u);
+  const graph::Hypergraph stars = star_netlist(30, 12);
+  model::ModelBuildOptions capped;
+  capped.max_net_size = 32;
+
+  for (const graph::Hypergraph* h : {&wide, &stars}) {
+    const std::size_t n = h->num_nodes();
+    std::vector<double> weight(n);
+    for (std::size_t v = 0; v < n; ++v)
+      weight[v] = 1.0 + static_cast<double>(v % 3);
+    std::vector<std::uint32_t> coarse_of;
+    std::vector<double> coarse_weight;
+    const graph::Hypergraph coarse =
+        coarsen_hypergraph(*h, weight, &coarse_of, &coarse_weight);
+
+    const PairMatching expected = match_pairs(
+        model::build_clique_laplacian(*h, model::NetModel::kStandard, capped));
+    EXPECT_EQ(coarse_of, expected.cluster_of);
+    ASSERT_EQ(coarse.num_nodes(), expected.num_clusters);
+    ASSERT_LT(coarse.num_nodes(), n);
+    ASSERT_EQ(coarse_weight.size(), coarse.num_nodes());
+
+    // Clusters of one or two; coarse weights are the members' sums (small
+    // integers, so the sums are exact).
+    std::vector<std::size_t> cluster_size(coarse.num_nodes(), 0);
+    std::vector<double> member_weight(coarse.num_nodes(), 0.0);
+    for (std::size_t v = 0; v < n; ++v) {
+      ASSERT_LT(coarse_of[v], coarse.num_nodes());
+      ++cluster_size[coarse_of[v]];
+      member_weight[coarse_of[v]] += weight[v];
+    }
+    for (std::size_t c = 0; c < coarse.num_nodes(); ++c) {
+      EXPECT_GE(cluster_size[c], 1u);
+      EXPECT_LE(cluster_size[c], 2u);
+    }
+    EXPECT_EQ(coarse_weight, member_weight);
+  }
+
+  // The cap is live: pairing on every net gives another matching here.
+  std::vector<std::uint32_t> coarse_of;
+  std::vector<double> coarse_weight;
+  coarsen_hypergraph(wide, std::vector<double>(wide.num_nodes(), 1.0),
+                     &coarse_of, &coarse_weight);
+  EXPECT_NE(coarse_of, match_pairs(model::build_clique_laplacian(
+                                       wide, model::NetModel::kStandard))
+                           .cluster_of);
+
+  // The two-hop pass fired on the stars: some pair shares no net.
+  coarsen_hypergraph(stars, std::vector<double>(stars.num_nodes(), 1.0),
+                     &coarse_of, &coarse_weight);
+  std::vector<std::vector<graph::NodeId>> members(coarse_weight.size());
+  for (graph::NodeId v = 0; v < stars.num_nodes(); ++v)
+    members[coarse_of[v]].push_back(v);
+  const SymCsrMatrix star_lap =
+      model::build_clique_laplacian(stars, model::NetModel::kStandard);
+  std::size_t two_hop_pairs = 0;
+  for (const std::vector<graph::NodeId>& m : members) {
+    if (m.size() != 2) continue;
+    bool adjacent = false;
+    for (std::size_t k = star_lap.row_begin(m[0]); k < star_lap.row_end(m[0]);
+         ++k)
+      adjacent = adjacent || star_lap.col_index(k) == m[1];
+    if (!adjacent) ++two_hop_pairs;
+  }
+  EXPECT_GT(two_hop_pairs, 0u);
 }
 
 TEST(Multilevel, RitzResidualsCertifiedAtEveryLevel) {

@@ -943,7 +943,7 @@ TEST(Metrics, SnapshotCountsByStatusAndRendersPercentiles) {
   EXPECT_NE(text.find("p95"), std::string::npos);
   EXPECT_NE(text.find("hit_rate"), std::string::npos);
 
-  // The wire frame and the text rendering derive from one flattening.
+  // The wire frame derives from the key/value flattening.
   EXPECT_FALSE(s.key_values().empty());
   // One gauge names the kernel clone the eigensolvers run.
   std::size_t isa_keys = 0;

@@ -1,17 +1,21 @@
 // Tests for the persistent eigenbasis store (src/storage): on-disk format
 // round-trips, hyperslab column reads, prefix reuse, corruption
-// quarantine, crash-safe writes, byte-budgeted eviction, and the serving
-// tier's restart/thread-count determinism with tier 2 enabled.
+// quarantine, crash-safe and concurrent writes, byte-budgeted eviction,
+// and the serving tier's restart/thread-count determinism with tier 2
+// enabled.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/generator.h"
@@ -76,6 +80,14 @@ Fingerprint make_key(std::uint64_t seed) {
   h.mix_string("test.storage.key");
   h.mix_u64(seed);
   return h.digest();
+}
+
+/// Number of `*.tmp` files (interrupted or in-flight writes) in `dir`.
+std::size_t temp_files(const std::string& dir) {
+  std::size_t count = 0;
+  for (const auto& de : fs::directory_iterator(dir))
+    if (de.path().extension() == ".tmp") ++count;
+  return count;
 }
 
 void expect_bit_equal(const spectral::EigenBasis& a,
@@ -313,6 +325,55 @@ TEST(StoreIndex, ReadCorruptionQuarantinesAndDegradesToMiss) {
   EXPECT_TRUE(fs::exists(path + ".quarantined"));
 }
 
+TEST(StoreIndex, ConcurrentStoresOfOneKeyKeepOneIntactEntry) {
+  // Concurrent misses on one key all solve and spill (service/cache.cpp),
+  // so stores of one key race. Each round releases 8 writers of a fresh
+  // key and a reader polling it together: no store may fail, no reader
+  // may find a torn file, and the entry left behind must load bit-equal.
+  constexpr std::size_t kRounds = 20;
+  constexpr std::size_t kWriters = 8;
+  TempDir dir("concurrent");
+  const spectral::EigenBasis b = make_basis(20000, 16, 35);
+  StoreOptions opts;
+  opts.dir = dir.path();
+  // Room for one entry: each round evicts the last, bounding the disk use.
+  opts.budget_bytes = basis_file_size(b.n, 16, kDefaultChunkCols);
+  StoreIndex index(opts);
+  std::size_t missed_rounds = 0;
+  std::size_t unequal_rounds = 0;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    const Fingerprint key = make_key(1000 + round);
+    std::latch start(kWriters + 1);
+    std::atomic<std::size_t> stored{0};
+    std::vector<std::thread> threads;
+    for (std::size_t w = 0; w < kWriters; ++w)
+      threads.emplace_back([&] {
+        start.arrive_and_wait();
+        index.store(key, b, "scalar", "flat");
+        ++stored;
+      });
+    threads.emplace_back([&] {
+      start.arrive_and_wait();
+      while (stored.load() < kWriters) index.load(key);
+    });
+    for (std::thread& t : threads) t.join();
+
+    const auto loaded = index.load(key);
+    if (!loaded) {
+      ++missed_rounds;
+    } else if (loaded->dimension() != 16 || loaded->values != b.values ||
+               std::memcmp(loaded->vectors.data(), b.vectors.data(),
+                           sizeof(double) * b.n * 16) != 0) {
+      ++unequal_rounds;
+    }
+  }
+  const StoreStats stats = index.stats();
+  EXPECT_EQ(stats.spill_failures, 0u);
+  EXPECT_EQ(stats.corrupt_quarantined, 0u);
+  EXPECT_EQ(missed_rounds, 0u);
+  EXPECT_EQ(unequal_rounds, 0u);
+}
+
 TEST(StoreIndex, EvictsLeastRecentlyUsedBeyondBudget) {
   TempDir dir("evict");
   const std::size_t entry_bytes = basis_file_size(16, 8, kDefaultChunkCols);
@@ -401,7 +462,7 @@ TEST(StorageFaults, CrashBeforeRenameNeverPublishesAndRecoversOnReopen) {
     fault::arm("storage.crash_before_rename", 1);
     EXPECT_FALSE(index.store(key, b, "scalar", "flat"));
     // The "crash" leaves the temp file exactly as a real crash would.
-    EXPECT_TRUE(fs::exists(index.entry_path(key) + ".tmp"));
+    EXPECT_EQ(temp_files(dir.path()), 1u);
     EXPECT_FALSE(fs::exists(index.entry_path(key)));
     EXPECT_FALSE(index.contains(key));
   }
@@ -410,7 +471,7 @@ TEST(StorageFaults, CrashBeforeRenameNeverPublishesAndRecoversOnReopen) {
   StoreOptions opts;
   opts.dir = dir.path();
   StoreIndex index(opts);
-  EXPECT_FALSE(fs::exists(index.entry_path(key) + ".tmp"));
+  EXPECT_EQ(temp_files(dir.path()), 0u);
   EXPECT_FALSE(index.contains(key));
   EXPECT_EQ(index.stats().corrupt_quarantined, 0u);
   EXPECT_TRUE(index.store(key, b, "scalar", "flat"));
