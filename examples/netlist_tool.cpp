@@ -143,7 +143,9 @@ int main(int argc, char** argv) {
     if (json) {
       // Route through PartitionService::execute so this output is the same
       // object (same fields, same values) a specpart_server would return
-      // for the equivalent request — parity by construction.
+      // for the equivalent request — parity by construction. A one-shot
+      // run stores nothing (zero cache budget); the budget changes what
+      // is kept, never the response.
       SP_CHECK_INPUT(algo == "melo", "--json supports --algo melo only");
       service::ServiceOptions sopts;
       sopts.num_workers = 0;  // execute() runs on this thread

@@ -166,7 +166,7 @@ RunResult run_inproc(const std::vector<service::PartitionRequest>& reqs,
           .count();
   const service::MetricsSnapshot snap = svc.snapshot();
   for (const auto& [key, value] : snap.key_values()) run.metrics[key] = value;
-  std::cout << snap.render_text();
+  service::write_metrics_frame(snap, std::cout);
   return run;
 }
 
@@ -284,7 +284,7 @@ RunResult run_sharded(const std::vector<service::PartitionRequest>& reqs,
   run.elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  std::cout << router.snapshot().render_text();
+  service::write_metrics_frame(router.snapshot(), std::cout);
   for (auto& server : servers) server->stop();
   return run;
 }
@@ -342,7 +342,8 @@ int main(int argc, char** argv) {
   cli.add_flag("workers", "2", "in-process mode: service worker threads");
   cli.add_flag("queue", "64", "in-process mode: job-queue capacity");
   cli.add_flag("cache-mb", "256",
-               "in-process mode: embedding-cache budget in MiB (0 disables)");
+               "in-process mode: embedding-cache budget in MiB (0 stores "
+               "nothing)");
   cli.add_flag("connect", "",
                "host:port of a running specpart_server (empty = in-process)");
   cli.add_flag("window", "16", "TCP mode: pipelining window");

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
                "true: reject requests when the queue is full (error "
                "response); false: block the reader (backpressure)");
   cli.add_flag("cache-mb", "256",
-               "embedding-cache byte budget in MiB (0 disables caching)");
+               "embedding-cache byte budget in MiB (0 stores nothing)");
   cli.add_flag("quantum", "8",
                "eigensolve dimension quantum (see docs/SERVING.md)");
   cli.add_flag("cache-dir", "",

@@ -45,7 +45,6 @@ EmbeddingCache::EmbeddingCache(EmbeddingCacheOptions opts)
     storage::StoreOptions store;
     store.dir = opts_.cache_dir;
     store.budget_bytes = opts_.disk_budget_bytes;
-    store.chunk_cols = opts_.disk_chunk_cols;
     disk_ = std::make_unique<storage::StoreIndex>(std::move(store));
   }
 }
@@ -112,10 +111,6 @@ Fingerprint EmbeddingCache::netlist_key(const graph::Hypergraph& h,
 spectral::EigenBasis EmbeddingCache::compute(
     const model::CliqueModel& cm, const spectral::EmbeddingOptions& opts,
     Diagnostics* diag, ComputeBudget* budget) {
-  if (opts_.max_bytes == 0)  // caching disabled: raw pipeline behavior
-    return spectral::compute_eigenbasis(cm.operator_matrix(opts.objective, diag),
-                                        opts, diag, budget);
-
   const std::size_t solve_count = quantized_count(opts.count);
   const Fingerprint key =
       netlist_key(cm.hypergraph(), cm.net_model(),
@@ -160,9 +155,9 @@ bool EmbeddingCache::disk_lookup(const Fingerprint& key, std::size_t count,
                                  spectral::EigenBasis& out) {
   if (disk_ == nullptr) return false;
   Timer timer;
-  // Always load the *full* stored basis (d_req = 0): promoting a prefix
-  // would let a later larger-d request in the same quantized bucket
-  // receive a truncated slice, breaking the determinism contract.
+  // The store loads the *full* stored basis: promoting a prefix would let
+  // a later larger-d request in the same quantized bucket receive a
+  // truncated slice, breaking the determinism contract.
   std::optional<spectral::EigenBasis> full = disk_->load(key);
   if (!full) return false;
   out = slice_basis(*full, count);
@@ -285,14 +280,6 @@ EmbeddingCacheStats EmbeddingCache::stats() const {
 
 storage::StoreStats EmbeddingCache::disk_stats() const {
   return disk_ == nullptr ? storage::StoreStats{} : disk_->stats();
-}
-
-void EmbeddingCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
-  lru_.clear();
-  stats_.bytes = 0;
-  stats_.entries = 0;
 }
 
 }  // namespace specpart::service

@@ -56,8 +56,9 @@ namespace specpart::service {
 
 struct EmbeddingCacheOptions {
   /// Byte budget for stored eigenbases (values + vectors + bookkeeping).
-  /// 0 disables caching entirely (every request solves cold, without
-  /// dimension quantization — byte-identical to the raw pipeline).
+  /// 0 stores nothing, in either tier: every request is a miss that solves
+  /// at the quantized dimension, so its response equals a caching
+  /// service's.
   std::size_t max_bytes = 256ull << 20;
   /// Eigensolve dimension is rounded up to the next multiple of this
   /// quantum (see file comment). 1 = no quantization: only exact-d repeats
@@ -69,8 +70,6 @@ struct EmbeddingCacheOptions {
   std::string cache_dir;
   /// Byte budget of the tier-2 directory; LRU files beyond it are deleted.
   std::size_t disk_budget_bytes = 1ull << 30;
-  /// Columns per chunk of newly spilled basis files.
-  std::size_t disk_chunk_cols = storage::kDefaultChunkCols;
 };
 
 /// Monotonic counters; snapshot-consistent (taken under the cache lock).
@@ -120,14 +119,11 @@ class EmbeddingCache {
   EmbeddingCacheStats stats() const;
 
   /// Whether the persistent tier is active (cache_dir configured, opened
-  /// successfully, and caching enabled).
+  /// successfully, and a nonzero max_bytes).
   bool disk_enabled() const { return disk_ != nullptr; }
 
   /// Tier-2 counters (zeroes when the tier is disabled).
   storage::StoreStats disk_stats() const;
-
-  /// Drops every in-memory entry (counters and the disk tier are kept).
-  void clear();
 
   const EmbeddingCacheOptions& options() const { return opts_; }
 

@@ -1,7 +1,7 @@
 #include "service/metrics.h"
 
+#include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "util/stringutil.h"
 
@@ -160,76 +160,6 @@ std::vector<std::pair<std::string, double>> MetricsSnapshot::key_values()
     }
   }
   return kv;
-}
-
-std::string MetricsSnapshot::render_text() const {
-  std::ostringstream out;
-  out << "service metrics\n";
-  out << strprintf("  requests      total=%llu ok=%llu degraded=%llu "
-                   "error=%llu rejected=%llu\n",
-                   static_cast<unsigned long long>(requests_total),
-                   static_cast<unsigned long long>(responses_ok),
-                   static_cast<unsigned long long>(responses_degraded),
-                   static_cast<unsigned long long>(responses_error),
-                   static_cast<unsigned long long>(rejected));
-  out << strprintf("  queue         depth=%zu peak=%zu workers=%zu\n",
-                   queue_depth, queue_peak, workers);
-  out << strprintf("  cache         hit_rate=%.1f%% hits=%llu (prefix %llu) "
-                   "lookups=%llu evictions=%llu entries=%zu bytes=%zu\n",
-                   100.0 * cache_hit_rate,
-                   static_cast<unsigned long long>(cache_hits),
-                   static_cast<unsigned long long>(cache_prefix_hits),
-                   static_cast<unsigned long long>(cache_lookups),
-                   static_cast<unsigned long long>(cache_evictions),
-                   cache_entries, cache_bytes);
-  if (objective_normalized_requests > 0)
-    out << strprintf(
-        "  objective     normalized_requests=%llu\n",
-        static_cast<unsigned long long>(objective_normalized_requests));
-  if (storage.present)
-    out << strprintf(
-        "  storage       disk_hits=%llu disk_misses=%llu spills=%llu "
-        "(failed %llu) evictions=%llu quarantined=%llu entries=%zu "
-        "bytes=%zu\n",
-        static_cast<unsigned long long>(storage.disk_hits),
-        static_cast<unsigned long long>(storage.disk_misses),
-        static_cast<unsigned long long>(storage.spills),
-        static_cast<unsigned long long>(storage.spill_failures),
-        static_cast<unsigned long long>(storage.evictions),
-        static_cast<unsigned long long>(storage.corrupt_quarantined),
-        storage.disk_entries, storage.bytes_on_disk);
-  out << strprintf("  latency       count=%llu mean=%.3fms p50=%.3fms "
-                   "p95=%.3fms p99=%.3fms\n",
-                   static_cast<unsigned long long>(latency.total),
-                   1e3 * latency.mean(), 1e3 * latency.quantile(0.50),
-                   1e3 * latency.quantile(0.95), 1e3 * latency.quantile(0.99));
-  if (router.present) {
-    out << strprintf(
-        "  router        requests=%llu failovers=%llu local_fallbacks=%llu "
-        "retries=%llu shards=%zu/%zu live\n",
-        static_cast<unsigned long long>(router.requests),
-        static_cast<unsigned long long>(router.failovers),
-        static_cast<unsigned long long>(router.local_fallbacks),
-        static_cast<unsigned long long>(router.retries), router.shards_live,
-        router.shards_total);
-    static const char* const kStateNames[] = {"closed", "open", "half_open"};
-    for (std::size_t i = 0; i < router.shards.size(); ++i) {
-      const RouterShardMetrics& s = router.shards[i];
-      const char* state =
-          s.state >= 0 && s.state <= 2 ? kStateNames[s.state] : "?";
-      out << strprintf(
-          "  shard%zu        %s state=%s requests=%llu failures=%llu "
-          "retries=%llu opens=%llu pings=%llu/%llu ok\n",
-          i, s.name.c_str(), state,
-          static_cast<unsigned long long>(s.requests),
-          static_cast<unsigned long long>(s.failures),
-          static_cast<unsigned long long>(s.retries),
-          static_cast<unsigned long long>(s.breaker_opens),
-          static_cast<unsigned long long>(s.pings_ok),
-          static_cast<unsigned long long>(s.pings_ok + s.pings_failed));
-    }
-  }
-  return out.str();
 }
 
 }  // namespace specpart::service

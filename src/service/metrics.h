@@ -5,7 +5,9 @@
 // are (a) wait-free recording — plain relaxed atomics, no locks — and
 // (b) snapshot-then-render: readers take a consistent-enough copy
 // (MetricsSnapshot) and all derivation (rates, percentiles) happens on the
-// copy. Latency quantiles come from a fixed log-spaced bucket histogram
+// copy. MetricsSnapshot::key_values() is the one rendering of a snapshot:
+// the METRICS wire frame (write_metrics_frame in service/server.h) prints
+// it. Latency quantiles come from a fixed log-spaced bucket histogram
 // (~19% resolution steps from 1 microsecond to ~4.6 hours), the standard
 // serving-systems trade: bounded memory, wait-free writes, quantile error
 // bounded by the bucket width.
@@ -129,9 +131,9 @@ struct MetricsSnapshot {
   bool kernel_avx2 = simd::active_isa() == simd::Isa::kAvx2;
 
   /// Requests carrying a non-default objective model (normalized
-  /// Laplacian / conductance objective). Emitted in key_values() and the
-  /// text rendering only when nonzero, so default-objective traffic's
-  /// METRICS frames are byte-identical to the pre-objective format.
+  /// Laplacian / conductance objective). Emitted in key_values() only when
+  /// nonzero, so default-objective traffic's METRICS frames are
+  /// byte-identical to the pre-objective format.
   std::uint64_t objective_normalized_requests = 0;
 
   // Cache section (filled by the service from EmbeddingCacheStats).
@@ -152,12 +154,9 @@ struct MetricsSnapshot {
   LatencyHistogram::Snapshot latency;
 
   /// Stable key/value flattening, the source of the METRICS wire frame
-  /// (one METRIC line per pair, in this order). render_text() formats the
-  /// same fields separately, so a new field must be added to both.
+  /// (one METRIC line per pair, in this order). A new field is added here
+  /// and nowhere else.
   std::vector<std::pair<std::string, double>> key_values() const;
-
-  /// Human-readable multi-line rendering (counters, cache, p50/p95/p99).
-  std::string render_text() const;
 };
 
 /// Wait-free counter hub updated by the serving paths.

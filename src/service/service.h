@@ -46,7 +46,8 @@ struct ServiceOptions {
   std::size_t num_workers = 2;
   /// Jobs that may wait in the queue (excluding the ones executing).
   std::size_t queue_capacity = 64;
-  /// Embedding-cache sizing (max_bytes = 0 disables caching).
+  /// Embedding-cache sizing (max_bytes = 0 stores nothing; responses are
+  /// the same at any budget).
   EmbeddingCacheOptions cache;
   /// Per-request compute budget in seconds (0 = unlimited). Budget-limited
   /// responses are best-so-far and exempt from the determinism contract.

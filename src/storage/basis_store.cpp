@@ -183,9 +183,7 @@ void write_basis_file(const std::string& path, const Fingerprint& key,
                       const spectral::EigenBasis& basis,
                       std::string_view solver_token,
                       std::string_view strategy_token,
-                      std::string_view objective_token,
-                      std::size_t chunk_cols) {
-  SP_REQUIRE(chunk_cols > 0, "storage: chunk_cols must be positive");
+                      std::string_view objective_token) {
   const std::size_t n = basis.n;
   const std::size_t d = basis.dimension();
 
@@ -196,7 +194,7 @@ void write_basis_file(const std::string& path, const Fingerprint& key,
 
   const std::vector<unsigned char> header =
       encode_header(key, basis, solver_token, strategy_token,
-                    objective_token, chunk_cols,
+                    objective_token, kChunkCols,
                     checksum64(values.data(), values.size()));
 
   File f(std::fopen(path.c_str(), "wb"));
@@ -207,9 +205,9 @@ void write_basis_file(const std::string& path, const Fingerprint& key,
 
   // Chunks: column-major within each chunk, checksum trailing.
   std::vector<double> chunk;
-  for (std::size_t c = 0; c < num_chunks(d, chunk_cols); ++c) {
+  for (std::size_t c = 0; c < num_chunks(d, kChunkCols); ++c) {
     std::size_t begin = 0, end = 0;
-    chunk_span(c, d, chunk_cols, begin, end);
+    chunk_span(c, d, kChunkCols, begin, end);
     chunk.clear();
     chunk.reserve(n * (end - begin));
     for (std::size_t j = begin; j < end; ++j)
@@ -280,48 +278,35 @@ std::optional<BasisHeader> read_basis_header(const std::string& path) {
   return out;
 }
 
-spectral::EigenBasis read_basis_columns(const std::string& path,
-                                        std::size_t d_req,
-                                        BasisHeader* header_out) {
+spectral::EigenBasis read_basis_file(const std::string& path) {
   const std::optional<BasisHeader> hdr = read_basis_header(path);
   if (!hdr)
     throw Error("storage: invalid or truncated basis header in " + path);
-  if (header_out != nullptr) *header_out = *hdr;
   const std::size_t n = hdr->n;
-  const std::size_t d_stored = hdr->d;
-  const std::size_t chunk_cols = hdr->chunk_cols;
-  if (d_req == 0) d_req = d_stored;
-  SP_CHECK_INPUT(d_req <= d_stored,
-                 strprintf("storage: %s stores %zu columns, %zu requested",
-                           path.c_str(), d_stored, d_req));
+  const std::size_t d = hdr->d;
 
   File f(std::fopen(path.c_str(), "rb"));
   if (f == nullptr) throw Error("storage: cannot open " + path);
   if (std::fseek(f.get(), static_cast<long>(kHeaderBytes), SEEK_SET) != 0)
     throw Error("storage: seek failed in " + path);
 
-  // Values: the checksum covers the whole block, so read all d_stored of
-  // them (tiny) and keep the leading d_req.
-  std::vector<double> values(d_stored);
-  read_exact(f.get(), values.data(), 8 * d_stored, path, "values block");
-  std::uint64_t values_sum = checksum64(values.data(), 8 * d_stored);
-  if (SP_FAULT("storage.checksum_flip")) values_sum ^= 1;
-  if (values_sum != hdr->values_checksum)
-    throw Error("storage: values checksum mismatch in " + path);
-
   spectral::EigenBasis out;
   out.n = n;
   out.laplacian_trace = hdr->laplacian_trace;
-  out.values.assign(values.begin(),
-                    values.begin() + static_cast<std::ptrdiff_t>(d_req));
-  out.vectors = linalg::DenseMatrix(n, d_req);
+  out.values.resize(d);
+  read_exact(f.get(), out.values.data(), 8 * d, path, "values block");
+  std::uint64_t values_sum = checksum64(out.values.data(), 8 * d);
+  if (SP_FAULT("storage.checksum_flip")) values_sum ^= 1;
+  if (values_sum != hdr->values_checksum)
+    throw Error("storage: values checksum mismatch in " + path);
+  out.vectors = linalg::DenseMatrix(n, d);
 
-  // Chunks covering [0, d_req): each is read whole (the checksum's unit)
-  // and only the needed columns are scattered into the row-major matrix.
+  // Each chunk is read whole (the checksum's unit) and its columns are
+  // scattered into the row-major matrix.
   std::vector<double> chunk;
-  for (std::size_t c = 0; c < num_chunks(d_req, chunk_cols); ++c) {
-    const std::size_t begin = c * chunk_cols;
-    const std::size_t end = std::min(d_stored, begin + chunk_cols);
+  for (std::size_t c = 0; c < num_chunks(d, hdr->chunk_cols); ++c) {
+    std::size_t begin = 0, end = 0;
+    chunk_span(c, d, hdr->chunk_cols, begin, end);
     chunk.resize(n * (end - begin));
     read_exact(f.get(), chunk.data(), 8 * chunk.size(), path, "chunk");
     std::uint64_t stored_sum = 0;
@@ -331,17 +316,16 @@ spectral::EigenBasis read_basis_columns(const std::string& path,
     if (sum != stored_sum)
       throw Error(strprintf("storage: chunk %zu checksum mismatch in %s",
                             c, path.c_str()));
-    const std::size_t cols_used = std::min(end, d_req) - begin;
-    for (std::size_t j = 0; j < cols_used; ++j)
+    for (std::size_t j = begin; j < end; ++j)
       for (std::size_t i = 0; i < n; ++i)
-        out.vectors.at(i, begin + j) = chunk[j * n + i];
+        out.vectors.at(i, j) = chunk[(j - begin) * n + i];
   }
 
   // Only clean bases are ever stored; reconstruct the clean flags with
   // zero solve cost, exactly like an in-memory cache hit.
-  out.requested = d_req;
-  out.converged_pairs = d_req;
-  out.converged = d_req > 0;
+  out.requested = d;
+  out.converged_pairs = d;
+  out.converged = true;
   out.truncated = false;
   out.budget_exhausted = false;
   return out;

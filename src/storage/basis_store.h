@@ -1,10 +1,9 @@
 // On-disk eigenbasis format: chunked column-major fp64 with a fixed
 // header and per-chunk checksums.
 //
-// The persistent cache tier stores each eigenbasis as one file whose
-// layout supports *hyperslab* reads — loading any leading column range
-// [0, d_req) without touching the rest of the spectrum, the access
-// pattern of hdf5-style chunked datasets implemented over a plain file:
+// The persistent cache tier stores each eigenbasis as one file, and
+// reads it back whole (the cache promotes full bases, see
+// service/cache.h):
 //
 //   [header, 192 bytes fixed]
 //     magic, version, n, d, chunk_cols, v2 netlist fingerprint,
@@ -19,13 +18,12 @@
 //   [chunk 1]       columns [chunk_cols, 2*chunk_cols) ... checksum
 //   ...
 //
-// Columns are column-major *within* a chunk so a leading column range
-// maps to a leading chunk range: reading d_req columns touches exactly
-// ceil(d_req / chunk_cols) chunks, each verified against its own
-// checksum (the chunk is the unit of integrity, so a partial read still
-// detects corruption in everything it consumed). Eigenvalues live with
-// the header because they are d doubles — always cheap — while the
-// vectors are n x d and dominate the file.
+// The writer always uses kChunkCols columns per chunk; the reader honours
+// whatever width a file's header declares. The chunk is the unit of
+// integrity: each one is verified against its own checksum, so
+// corruption is caught before a column of it reaches the caller.
+// Eigenvalues live with the header because they are d doubles — always
+// cheap — while the vectors are n x d and dominate the file.
 //
 // The checksums are FNV-1a 64 over the raw bytes: deterministic across
 // platforms and runs, defending against torn writes and bit rot, not
@@ -53,8 +51,9 @@ inline constexpr std::uint32_t kBasisVersion = 1;
 inline constexpr std::size_t kHeaderBytes = 192;
 /// Fixed width of the solver/strategy token fields (zero-padded).
 inline constexpr std::size_t kTokenBytes = 24;
-/// Default columns per chunk (a d = 16 quantized basis spans 4 chunks).
-inline constexpr std::size_t kDefaultChunkCols = 4;
+/// Columns per chunk of every written file (a d = 16 quantized basis
+/// spans 4 chunks).
+inline constexpr std::size_t kChunkCols = 4;
 
 /// Decoded fixed header of one basis file.
 struct BasisHeader {
@@ -71,7 +70,7 @@ struct BasisHeader {
   /// Stored in the extension zone only when non-default; an all-zero zone
   /// (every legacy file) decodes as "unnormalized".
   std::string objective_token = "unnormalized";
-  /// FNV-1a 64 of the values block (verified by read_basis_columns).
+  /// FNV-1a 64 of the values block (verified by read_basis_file).
   std::uint64_t values_checksum = 0;
 };
 
@@ -98,8 +97,7 @@ void write_basis_file(const std::string& path, const Fingerprint& key,
                       const spectral::EigenBasis& basis,
                       std::string_view solver_token,
                       std::string_view strategy_token,
-                      std::string_view objective_token = {},
-                      std::size_t chunk_cols = kDefaultChunkCols);
+                      std::string_view objective_token = {});
 
 /// Reads and validates the fixed header alone (magic, version, field
 /// sanity, header checksum, and the exact file size implied by n/d/
@@ -107,16 +105,12 @@ void write_basis_file(const std::string& path, const Fingerprint& key,
 /// validation path, which must not throw on garbage files.
 std::optional<BasisHeader> read_basis_header(const std::string& path);
 
-/// Hyperslab read of columns [0, d_req) (d_req = 0 reads every stored
-/// column). Verifies the header, the values checksum and each covering
-/// chunk's checksum; throws specpart::Error on corruption, truncation or
-/// short read (including the injected storage.short_read /
+/// Reads every stored column. Verifies the header, the values checksum
+/// and each chunk's checksum; throws specpart::Error on corruption,
+/// truncation or short read (including the injected storage.short_read /
 /// storage.checksum_flip faults). The returned basis is reconstructed as
-/// clean — only clean bases are ever stored — with converged/
-/// converged_pairs reflecting the columns actually read and zero solve
-/// cost counters, exactly like an in-memory cache hit.
-spectral::EigenBasis read_basis_columns(const std::string& path,
-                                        std::size_t d_req,
-                                        BasisHeader* header_out = nullptr);
+/// clean — only clean bases are ever stored — with zero solve cost
+/// counters, exactly like an in-memory cache hit.
+spectral::EigenBasis read_basis_file(const std::string& path);
 
 }  // namespace specpart::storage

@@ -102,8 +102,7 @@ void StoreIndex::open_and_scan() {
   evict_to_budget_locked();
 }
 
-std::optional<spectral::EigenBasis> StoreIndex::load(const Fingerprint& key,
-                                                     std::size_t d_req) {
+std::optional<spectral::EigenBasis> StoreIndex::load(const Fingerprint& key) {
   const std::string path = entry_path(key);
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -118,8 +117,7 @@ std::optional<spectral::EigenBasis> StoreIndex::load(const Fingerprint& key,
   // I/O outside the lock: the file is immutable once renamed into place,
   // and a concurrent eviction at worst turns this into a miss.
   try {
-    BasisHeader hdr;
-    spectral::EigenBasis basis = read_basis_columns(path, d_req, &hdr);
+    spectral::EigenBasis basis = read_basis_file(path);
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.hits;
     return basis;
@@ -159,7 +157,7 @@ bool StoreIndex::store(const Fingerprint& key,
                           std::string(kTempSuffix);
   try {
     write_basis_file(tmp, key, basis, solver_token, strategy_token,
-                     objective_token, opts_.chunk_cols);
+                     objective_token);
   } catch (const Error&) {
     std::error_code ec;
     fs::remove(tmp, ec);  // a failed write must not leave debris
@@ -186,8 +184,8 @@ bool StoreIndex::store(const Fingerprint& key,
     return false;
   }
 
-  const std::size_t bytes = basis_file_size(
-      basis.n, basis.dimension(), opts_.chunk_cols);
+  const std::size_t bytes =
+      basis_file_size(basis.n, basis.dimension(), kChunkCols);
   std::lock_guard<std::mutex> lock(mutex_);
   if (entries_.find(key) == entries_.end()) {
     lru_.push_front(key);

@@ -44,9 +44,6 @@ struct StoreOptions {
   std::string dir;
   /// Byte budget over the stored files; exceeding it evicts LRU entries.
   std::size_t budget_bytes = 1ull << 30;
-  /// Columns per chunk for newly written files (reads honor whatever the
-  /// file's header says).
-  std::size_t chunk_cols = kDefaultChunkCols;
 };
 
 /// Monotonic counters; snapshot-consistent (taken under the index lock).
@@ -73,13 +70,10 @@ class StoreIndex {
   /// listed — individual bad files are quarantined, never fatal.
   explicit StoreIndex(StoreOptions opts);
 
-  /// Loads the entry for `key`, or nullopt when absent. `d_req = 0`
-  /// loads every stored column (what tier-1 promotion wants — promoting
-  /// a prefix would let later larger-d requests in the same quantized
-  /// bucket receive a truncated slice). A corrupt entry is quarantined,
-  /// counted, and reported as a miss; this never throws into serving.
-  std::optional<spectral::EigenBasis> load(const Fingerprint& key,
-                                           std::size_t d_req = 0);
+  /// Loads every stored column of the entry for `key`, or nullopt when
+  /// absent. A corrupt entry is quarantined, counted, and reported as a
+  /// miss; this never throws into serving.
+  std::optional<spectral::EigenBasis> load(const Fingerprint& key);
 
   /// Persists `basis` under `key` via temp-file + atomic rename, then
   /// evicts to budget. Idempotent: an existing entry is refreshed (LRU

@@ -38,10 +38,13 @@ bool Cli::parse(int argc, const char* const* argv) {
     auto it = flags_.find(name);
     SP_CHECK_INPUT(it != flags_.end(), "unknown flag --" + name);
     if (!have_value) {
-      // Boolean flags may omit the value; others consume the next token.
+      // Boolean flags may omit the value: they consume the next token only
+      // when it is true/false, so a positional after one stays positional.
+      // Other flags always consume it.
       const bool bool_like = it->second.default_value == "true" ||
                              it->second.default_value == "false";
-      if (bool_like && (i + 1 >= argc || starts_with(argv[i + 1], "--"))) {
+      const std::string next = i + 1 < argc ? argv[i + 1] : "";
+      if (bool_like && next != "true" && next != "false") {
         value = "true";
       } else {
         SP_CHECK_INPUT(i + 1 < argc, "flag --" + name + " needs a value");

@@ -1,7 +1,9 @@
 // Minimal command-line flag parsing for the bench/ and examples/ binaries.
 //
-// Supports `--flag value`, `--flag=value`, and boolean `--flag`. Unknown
-// flags raise specpart::Error so typos do not silently change experiments.
+// Supports `--flag value`, `--flag=value`, and boolean `--flag` (which
+// takes the next token as its value only when it is `true` or `false`).
+// Unknown flags raise specpart::Error so typos do not silently change
+// experiments.
 #pragma once
 
 #include <cstdint>

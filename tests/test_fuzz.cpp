@@ -352,7 +352,7 @@ TEST(Fuzz, BasisFileReadsReturnVerifiedBasesOrRejectTheFile) {
               hdr->d)
         << "iteration " << iter;
     try {
-      const spectral::EigenBasis b = storage::read_basis_columns(path, 0);
+      const spectral::EigenBasis b = storage::read_basis_file(path);
       ASSERT_EQ(b.n, hdr->n);
       ASSERT_EQ(b.dimension(), hdr->d);
       ASSERT_EQ(b.vectors.rows(), hdr->n);

@@ -282,7 +282,7 @@ TEST(BasisStore, ObjectiveTokenRoundTripsThroughTheHeader) {
   // The payload reads back bit-identical either way, and the extension
   // zone is integrity-checked: flipping one token byte invalidates the
   // header instead of decoding a wrong objective.
-  const spectral::EigenBasis r = storage::read_basis_columns(norm_path, 0);
+  const spectral::EigenBasis r = storage::read_basis_file(norm_path);
   EXPECT_EQ(r.values[1], b.values[1]);
   std::fstream corrupt(norm_path,
                        std::ios::binary | std::ios::in | std::ios::out);

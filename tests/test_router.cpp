@@ -432,8 +432,11 @@ TEST(Metrics, RouterSectionOnlyPresentForRouters) {
   }
   EXPECT_TRUE(saw_router);
   EXPECT_TRUE(saw_fallback);
-  // And the human rendering mentions the tier.
-  EXPECT_NE(router.snapshot().render_text().find("router"), std::string::npos);
+  // And the METRICS frame carries the tier's keys.
+  std::ostringstream frame;
+  write_metrics_frame(router.snapshot(), frame);
+  EXPECT_NE(frame.str().find("\nMETRIC router_requests 1\n"),
+            std::string::npos);
 }
 
 }  // namespace

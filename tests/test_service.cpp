@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <future>
 #include <sstream>
@@ -360,22 +361,42 @@ TEST(Cache, LruEvictionUnderByteBudget) {
   EXPECT_EQ(cache.stats().misses, 4u);
 }
 
-TEST(Cache, DisabledCacheNeverStoresAndSkipsQuantization) {
-  const graph::Hypergraph h = small_netlist();
+TEST(Cache, ZeroBudgetStoresNothingAndReturnsTheCachingPathsBits) {
+  // Above the dense threshold, so a solve for 12 pairs and one for the
+  // quantized 16 differ in their bits.
+  const graph::Hypergraph h = small_netlist(10, 400);
   const model::CliqueModel cm(h, model::NetModel::kPartitioningSpecific);
   spectral::EmbeddingOptions e;
-  e.count = 10;
+  e.count = 12;
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("specpart_zero_budget_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+
   EmbeddingCacheOptions opts;
   opts.max_bytes = 0;
-  EmbeddingCache cache(opts);
-  const spectral::EigenBasis b = cache.compute(cm, e, nullptr, nullptr);
-  EXPECT_EQ(b.dimension(), 10u);
-  EXPECT_EQ(cache.stats().entries, 0u);
+  opts.cache_dir = dir;  // no tier either: a zero budget stores nothing
+  EmbeddingCache zero(opts);
+  EXPECT_FALSE(zero.disk_enabled());
+  const spectral::EigenBasis b1 = zero.compute(cm, e, nullptr, nullptr);
+  const spectral::EigenBasis b2 = zero.compute(cm, e, nullptr, nullptr);
+  EXPECT_FALSE(std::filesystem::exists(dir));
+  const EmbeddingCacheStats s = zero.stats();
+  EXPECT_EQ(s.lookups, 2u);
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.hits, 0u);
+  EXPECT_EQ(s.uncacheable, 2u);
+  EXPECT_EQ(s.entries, 0u);
+  EXPECT_EQ(s.bytes, 0u);
 
-  // Byte-identical to the raw pipeline when disabled.
-  const spectral::EigenBasis raw = spectral::compute_eigenbasis(
-      model::clique_expand(h, model::NetModel::kPartitioningSpecific), e);
-  expect_same_basis(b, raw);
+  // Both solves are the caching path's: the leading 12 columns of the
+  // quantized 16-pair solve.
+  EmbeddingCache caching;
+  const spectral::EigenBasis cached = caching.compute(cm, e, nullptr, nullptr);
+  EXPECT_EQ(cached.dimension(), 12u);
+  expect_same_basis(b1, cached);
+  expect_same_basis(b2, cached);
 }
 
 TEST(Cache, NetlistHitSkipsCliqueExpansionEntirely) {
@@ -436,6 +457,26 @@ TEST(Service, RepeatedRequestIsByteIdenticalAndHitsCache) {
   EXPECT_EQ(m.requests_total, 2u);
   EXPECT_EQ(m.responses_ok, 2u);
   EXPECT_EQ(m.latency.total, 2u);
+}
+
+TEST(Service, ResponseBytesDoNotDependOnTheCacheBudget) {
+  // A zero budget stores nothing, but its requests take the caching
+  // path all the same, quantized solve included.
+  ServiceOptions zero;
+  zero.cache.max_bytes = 0;
+  PartitionService svc0(zero);
+  PartitionService svc;
+  for (const std::size_t d : {10u, 12u}) {
+    PartitionRequest req = make_request();
+    req.graph = small_netlist(10, 400);
+    req.k = 2;
+    req.pipeline.num_eigenvectors = d;
+    const PartitionResponse resp = svc.execute(req);
+    EXPECT_EQ(resp.status, "ok");
+    EXPECT_EQ(wire(svc0.execute(req)), wire(resp)) << "d = " << d;
+  }
+  EXPECT_EQ(svc0.cache_stats().entries, 0u);
+  EXPECT_EQ(svc0.cache_stats().misses, 2u);
 }
 
 TEST(Service, ByteIdenticalAcrossKernelThreadCounts) {
@@ -938,13 +979,16 @@ TEST(Metrics, SnapshotCountsByStatusAndRendersPercentiles) {
   EXPECT_EQ(s.queue_depth, 2u);
   EXPECT_EQ(s.queue_peak, 3u);
 
-  const std::string text = s.render_text();
-  EXPECT_NE(text.find("p50"), std::string::npos);
-  EXPECT_NE(text.find("p95"), std::string::npos);
-  EXPECT_NE(text.find("hit_rate"), std::string::npos);
-
-  // The wire frame derives from the key/value flattening.
-  EXPECT_FALSE(s.key_values().empty());
+  // The wire frame is the key/value flattening, one METRIC line a pair.
+  std::ostringstream frame;
+  write_metrics_frame(s, frame);
+  const std::string text = frame.str();
+  EXPECT_EQ(text.rfind("METRICS\n", 0), 0u);
+  EXPECT_NE(text.find("\nMETRIC latency_p50_seconds "), std::string::npos);
+  EXPECT_NE(text.find("\nMETRIC latency_p95_seconds "), std::string::npos);
+  EXPECT_NE(text.find("\nMETRIC cache_hit_rate 0\n"), std::string::npos);
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'),
+            static_cast<std::ptrdiff_t>(s.key_values().size() + 2));
   // One gauge names the kernel clone the eigensolvers run.
   std::size_t isa_keys = 0;
   for (const auto& [key, value] : s.key_values())

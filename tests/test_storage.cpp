@@ -1,7 +1,7 @@
 // Tests for the persistent eigenbasis store (src/storage): on-disk format
-// round-trips, hyperslab column reads, prefix reuse, corruption
-// quarantine, crash-safe and concurrent writes, byte-budgeted eviction,
-// and the serving tier's restart/thread-count determinism with tier 2
+// round-trips, prefix reuse, corruption quarantine, crash-safe and
+// concurrent writes, byte-budgeted eviction, and the serving tier's
+// restart/thread-count determinism and evict-time re-spill with tier 2
 // enabled.
 #include <gtest/gtest.h>
 
@@ -111,14 +111,16 @@ TEST(BasisFile, RoundTripIsBitIdentical) {
   const Fingerprint key = make_key(3);
   write_basis_file(path, key, b, "scalar", "flat");
 
-  BasisHeader hdr;
-  const spectral::EigenBasis r = read_basis_columns(path, 0, &hdr);
+  const spectral::EigenBasis r = read_basis_file(path);
   expect_bit_equal(b, r, 10);
-  EXPECT_EQ(hdr.n, 37u);
-  EXPECT_EQ(hdr.d, 10u);
-  EXPECT_EQ(hdr.key, key);
-  EXPECT_EQ(hdr.solver_token, "scalar");
-  EXPECT_EQ(hdr.strategy_token, "flat");
+  const std::optional<BasisHeader> hdr = read_basis_header(path);
+  ASSERT_TRUE(hdr.has_value());
+  EXPECT_EQ(hdr->n, 37u);
+  EXPECT_EQ(hdr->d, 10u);
+  EXPECT_EQ(hdr->chunk_cols, kChunkCols);
+  EXPECT_EQ(hdr->key, key);
+  EXPECT_EQ(hdr->solver_token, "scalar");
+  EXPECT_EQ(hdr->strategy_token, "flat");
   // The loaded basis presents as a clean zero-cost cache hit.
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(r.converged_pairs, 10u);
@@ -127,25 +129,7 @@ TEST(BasisFile, RoundTripIsBitIdentical) {
   EXPECT_EQ(r.solve_flops, 0u);
   // The file size formula matches reality (the eviction accounting
   // depends on it).
-  EXPECT_EQ(fs::file_size(path), basis_file_size(37, 10, kDefaultChunkCols));
-}
-
-TEST(BasisFile, HyperslabReadsAnyLeadingColumnRange) {
-  TempDir dir("hyperslab");
-  fs::create_directories(dir.path());
-  const std::string path = dir.path() + "/a.eb";
-  const spectral::EigenBasis b = make_basis(23, 16, 5);
-  write_basis_file(path, make_key(5), b, "scalar", "flat", {}, 4);
-
-  // Every d_req in [1, 16]: chunk-interior, chunk-boundary, full.
-  for (std::size_t d_req = 1; d_req <= 16; ++d_req) {
-    const spectral::EigenBasis r = read_basis_columns(path, d_req);
-    expect_bit_equal(b, r, d_req);
-    EXPECT_TRUE(r.converged);
-    EXPECT_EQ(r.converged_pairs, d_req);
-  }
-  // Asking beyond the stored spectrum is an input error, not garbage.
-  EXPECT_THROW(read_basis_columns(path, 17), Error);
+  EXPECT_EQ(fs::file_size(path), basis_file_size(37, 10, kChunkCols));
 }
 
 TEST(BasisFile, HeaderRejectsGarbageWithoutThrowing) {
@@ -182,10 +166,7 @@ TEST(BasisFile, FlippedByteFailsTheChunkChecksum) {
   f.close();
 
   EXPECT_TRUE(read_basis_header(path).has_value());
-  EXPECT_THROW(read_basis_columns(path, 0), Error);
-  // ...but a hyperslab that stops before the corrupt chunk still serves.
-  const spectral::EigenBasis r = read_basis_columns(path, 4);
-  EXPECT_EQ(r.dimension(), 4u);
+  EXPECT_THROW(read_basis_file(path), Error);
 }
 
 /// Overwrites the u64 header field at `offset` of the basis file at `path`
@@ -216,7 +197,7 @@ TEST(BasisFile, HeaderRejectsSizeFieldsThatWrap) {
   set_header_field(path, 32, ~0ull);
   fs::resize_file(path, kHeaderBytes + 8 * 6 + 8 * 19 * 6);
   EXPECT_FALSE(read_basis_header(path).has_value());
-  EXPECT_THROW(read_basis_columns(path, 0), Error);
+  EXPECT_THROW(read_basis_file(path), Error);
 
   // n = 2^40 times d = 2^24 is 2^64, which wraps to 0 and so passes a
   // guard on the computed product n * d <= 2^40. The file is extended
@@ -337,7 +318,7 @@ TEST(StoreIndex, ConcurrentStoresOfOneKeyKeepOneIntactEntry) {
   StoreOptions opts;
   opts.dir = dir.path();
   // Room for one entry: each round evicts the last, bounding the disk use.
-  opts.budget_bytes = basis_file_size(b.n, 16, kDefaultChunkCols);
+  opts.budget_bytes = basis_file_size(b.n, 16, kChunkCols);
   StoreIndex index(opts);
   std::size_t missed_rounds = 0;
   std::size_t unequal_rounds = 0;
@@ -376,7 +357,7 @@ TEST(StoreIndex, ConcurrentStoresOfOneKeyKeepOneIntactEntry) {
 
 TEST(StoreIndex, EvictsLeastRecentlyUsedBeyondBudget) {
   TempDir dir("evict");
-  const std::size_t entry_bytes = basis_file_size(16, 8, kDefaultChunkCols);
+  const std::size_t entry_bytes = basis_file_size(16, 8, kChunkCols);
   StoreOptions opts;
   opts.dir = dir.path();
   opts.budget_bytes = 3 * entry_bytes;  // room for three entries
@@ -620,8 +601,56 @@ TEST(ServiceTier2, MetricsFrameIsByteStableWhenTierDisabled) {
   EXPECT_FALSE(snap.storage.present);
   for (const auto& [key, value] : snap.key_values())
     EXPECT_EQ(key.rfind("storage_", 0), std::string::npos) << key;
-  EXPECT_EQ(snap.render_text().find("storage"), std::string::npos);
 }
+
+#ifdef SPECPART_FAULT_INJECTION
+
+TEST(ServiceTier2, EvictionRepersistsAFailedSpill) {
+  // An entry whose insert-time spill failed is persisted when tier 1
+  // evicts it, so a restarted service still serves it from disk.
+  TempDir dir("respill");
+  service::ServiceOptions opts;
+  opts.num_workers = 0;
+  std::string cold_a;
+  {
+    // Learn one entry's footprint, then budget tier 1 for exactly one.
+    service::PartitionService probe(opts);
+    cold_a = wire(probe.execute(tier_request(1)));
+    opts.cache.max_bytes = probe.snapshot().cache_bytes;
+  }
+  opts.cache.cache_dir = dir.path();
+  {
+    service::PartitionService svc(opts);
+    {
+      fault::ScopedFaults guard;
+      fault::arm("storage.enospc", 1);
+      EXPECT_EQ(wire(svc.execute(tier_request(1))), cold_a);
+    }
+    service::MetricsSnapshot snap = svc.snapshot();
+    EXPECT_EQ(snap.storage.spill_failures, 1u);
+    EXPECT_EQ(snap.storage.disk_entries, 0u);
+
+    svc.execute(tier_request(2));  // same size: evicts A from tier 1
+    snap = svc.snapshot();
+    EXPECT_EQ(snap.cache_evictions, 1u);
+    EXPECT_EQ(snap.cache_entries, 1u);
+    EXPECT_EQ(snap.storage.spills, 2u);  // B at insert, A at eviction
+    EXPECT_EQ(snap.storage.disk_entries, 2u);
+  }
+  service::PartitionService svc(opts);  // restart over the same directory
+  Diagnostics diag;
+  EXPECT_EQ(wire(svc.execute(tier_request(1), &diag)), cold_a);
+  bool disk_hit = false, eigensolve = false;
+  for (const StageStats& s : diag.stages()) {
+    if (s.name == "embedding_cache_disk_hit") disk_hit = true;
+    if (s.name == "eigensolve") eigensolve = true;
+  }
+  EXPECT_TRUE(disk_hit);
+  EXPECT_FALSE(eigensolve);
+  EXPECT_EQ(svc.snapshot().storage.disk_hits, 1u);
+}
+
+#endif  // SPECPART_FAULT_INJECTION
 
 }  // namespace
 }  // namespace specpart::storage

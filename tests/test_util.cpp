@@ -158,6 +158,23 @@ TEST(Cli, ParsesFlagsAndPositionals) {
   EXPECT_TRUE(cli.get_bool("verbose"));
   ASSERT_EQ(cli.positionals().size(), 1u);
   EXPECT_EQ(cli.positionals()[0], "pos1");
+
+  // A bare boolean flag leaves a following positional alone; it takes
+  // the next token only when that token is true or false.
+  Cli bare("prog", "test");
+  bare.add_flag("verbose", "false", "chatty");
+  const char* bare_argv[] = {"prog", "--verbose", "pos1"};
+  ASSERT_TRUE(bare.parse(3, bare_argv));
+  EXPECT_TRUE(bare.get_bool("verbose"));
+  ASSERT_EQ(bare.positionals().size(), 1u);
+  EXPECT_EQ(bare.positionals()[0], "pos1");
+
+  Cli valued("prog", "test");
+  valued.add_flag("verbose", "true", "chatty");
+  const char* valued_argv[] = {"prog", "--verbose", "false", "pos1"};
+  ASSERT_TRUE(valued.parse(4, valued_argv));
+  EXPECT_FALSE(valued.get_bool("verbose"));
+  ASSERT_EQ(valued.positionals().size(), 1u);
 }
 
 TEST(Cli, EqualsSyntax) {
