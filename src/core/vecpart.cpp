@@ -85,97 +85,4 @@ part::Partition solve_min_sum_exact(const VectorInstance& inst,
   return solve_exact(inst, k, min_size, max_size, /*maximize=*/false);
 }
 
-part::Partition vp_local_search_max_sum(const VectorInstance& inst,
-                                        part::Partition initial,
-                                        std::size_t min_size,
-                                        std::size_t max_size,
-                                        std::size_t max_moves) {
-  const std::size_t n = inst.size();
-  const std::size_t d = inst.dimension();
-  const std::uint32_t k = initial.k();
-  SP_ASSERT(initial.num_nodes() == n);
-  if (max_size == 0) max_size = n;
-  if (max_moves == 0) max_moves = 8 * n + 64;
-
-  // Cluster sum vectors, maintained incrementally.
-  std::vector<linalg::Vec> sums = subset_vectors(inst, initial);
-  part::Partition p = std::move(initial);
-
-  for (std::size_t move = 0; move < max_moves; ++move) {
-    double best_gain = 1e-9;
-    graph::NodeId best_v = 0;
-    std::uint32_t best_to = 0;
-    bool found = false;
-    for (graph::NodeId v = 0; v < n; ++v) {
-      const std::uint32_t from = p.cluster_of(v);
-      if (p.cluster_size(from) <= min_size) continue;
-      const linalg::Vec y = inst.vectors.row(v);
-      const double y_sq = linalg::norm_sq(y);
-      const double from_dot = linalg::dot(sums[from], y);
-      for (std::uint32_t to = 0; to < k; ++to) {
-        if (to == from || p.cluster_size(to) >= max_size) continue;
-        const double gain =
-            2.0 * (linalg::dot(sums[to], y) - from_dot) + 2.0 * y_sq;
-        if (gain > best_gain) {
-          best_gain = gain;
-          best_v = v;
-          best_to = to;
-          found = true;
-        }
-      }
-    }
-    if (found) {
-      const std::uint32_t from = p.cluster_of(best_v);
-      for (std::size_t j = 0; j < d; ++j) {
-        const double y_j = inst.vectors.at(best_v, j);
-        sums[from][j] -= y_j;
-        sums[best_to][j] += y_j;
-      }
-      p.assign(best_v, best_to);
-      continue;
-    }
-
-    // No improving single move (tight size bounds block them entirely when
-    // min == max): try pair swaps. For u in A, v in B with w = y_v - y_u:
-    // delta = 2 (Y_A - Y_B) . w + 2 ||w||^2.
-    double best_swap_gain = 1e-9;
-    graph::NodeId swap_u = 0, swap_v = 0;
-    bool swap_found = false;
-    for (graph::NodeId u = 0; u < n; ++u) {
-      const std::uint32_t cu = p.cluster_of(u);
-      for (graph::NodeId v = u + 1; v < n; ++v) {
-        const std::uint32_t cv = p.cluster_of(v);
-        if (cu == cv) continue;
-        double gain = 0.0;
-        double w_sq = 0.0;
-        for (std::size_t j = 0; j < d; ++j) {
-          const double w_j =
-              inst.vectors.at(v, j) - inst.vectors.at(u, j);
-          gain += (sums[cu][j] - sums[cv][j]) * w_j;
-          w_sq += w_j * w_j;
-        }
-        gain = 2.0 * gain + 2.0 * w_sq;
-        if (gain > best_swap_gain) {
-          best_swap_gain = gain;
-          swap_u = u;
-          swap_v = v;
-          swap_found = true;
-        }
-      }
-    }
-    if (!swap_found) break;
-    const std::uint32_t cu = p.cluster_of(swap_u);
-    const std::uint32_t cv = p.cluster_of(swap_v);
-    for (std::size_t j = 0; j < d; ++j) {
-      const double w_j =
-          inst.vectors.at(swap_v, j) - inst.vectors.at(swap_u, j);
-      sums[cu][j] += w_j;
-      sums[cv][j] -= w_j;
-    }
-    p.assign(swap_u, cv);
-    p.assign(swap_v, cu);
-  }
-  return p;
-}
-
 }  // namespace specpart::core

@@ -46,19 +46,4 @@ part::Partition solve_min_sum_exact(const VectorInstance& inst,
                                     std::uint32_t k, std::size_t min_size = 0,
                                     std::size_t max_size = 0);
 
-/// Greedy local search on the max-sum objective — the paper's closing
-/// suggestion that "more sophisticated vector partitioning heuristics hold
-/// much promise", in its simplest form: repeatedly relocate the vector
-/// whose move raises sum_h ||Y_h||^2 the most, subject to cluster size
-/// bounds, until no improving move exists (or max_moves is hit). The move
-/// gain is evaluated in O(d): delta = 2 (Y_b - Y_a) . y + 2 ||y||^2. When
-/// no single move improves (e.g. exact size bounds block all relocations),
-/// size-preserving pair swaps are tried as well.
-/// Returns the improved partition; the objective never decreases.
-part::Partition vp_local_search_max_sum(const VectorInstance& inst,
-                                        part::Partition initial,
-                                        std::size_t min_size = 0,
-                                        std::size_t max_size = 0,
-                                        std::size_t max_moves = 0);
-
 }  // namespace specpart::core

@@ -23,8 +23,6 @@ void Table::add_num(double v, int digits) {
   add(strprintf("%.*f", digits, v));
 }
 
-void Table::add_sci(double v) { add(strprintf("%.4g", v)); }
-
 void Table::print(std::ostream& out) const {
   std::vector<std::size_t> width(header_.size(), 0);
   for (std::size_t c = 0; c < header_.size(); ++c)

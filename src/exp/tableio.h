@@ -21,8 +21,6 @@ class Table {
   void add_int(long long v);
   /// Fixed-point with `digits` decimals.
   void add_num(double v, int digits = 3);
-  /// Scientific-style compact (%.4g).
-  void add_sci(double v);
 
   /// Renders with a header underline to the stream.
   void print(std::ostream& out) const;

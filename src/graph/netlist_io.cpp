@@ -214,12 +214,6 @@ void write_hgr(const Hypergraph& h, std::ostream& out) {
   }
 }
 
-void write_hgr_file(const Hypergraph& h, const std::string& path) {
-  std::ofstream out(path);
-  SP_CHECK_INPUT(out.good(), "cannot open output file: " + path);
-  write_hgr(h, out);
-}
-
 Hypergraph read_netd(std::istream& in) {
   const std::string text = read_all(in);
   ContentLines lines(text);
@@ -300,12 +294,6 @@ void write_netd(const Hypergraph& h, std::ostream& out) {
     for (std::size_t i = 0; i < pins.size(); ++i)
       out << name_of(pins[i]) << (i == 0 ? " s I" : " l O") << '\n';
   }
-}
-
-void write_netd_file(const Hypergraph& h, const std::string& path) {
-  std::ofstream out(path);
-  SP_CHECK_INPUT(out.good(), "cannot open output file: " + path);
-  write_netd(h, out);
 }
 
 void write_partition(const std::vector<std::uint32_t>& assignment,

@@ -54,7 +54,6 @@ Hypergraph read_hgr_file(const std::string& path, Diagnostics* diag = nullptr);
 
 /// Serializes to hMETIS .hgr (with net weights iff any differ from 1).
 void write_hgr(const Hypergraph& h, std::ostream& out);
-void write_hgr_file(const Hypergraph& h, const std::string& path);
 
 /// Parses ACM/SIGDA .netD/.net pin-list text. Vertex names are preserved
 /// (query via Hypergraph::node_names()). Throws specpart::Error on
@@ -65,7 +64,6 @@ Hypergraph read_netd_file(const std::string& path);
 /// Serializes to ACM/SIGDA .netD pin-list form. Vertices without stored
 /// names are emitted as a<index>. Round-trips through read_netd.
 void write_netd(const Hypergraph& h, std::ostream& out);
-void write_netd_file(const Hypergraph& h, const std::string& path);
 
 /// Writes a partition as one cluster id per line (vertex order), the format
 /// understood by hMETIS/KaHyPar evaluation tools.

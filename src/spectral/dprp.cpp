@@ -12,14 +12,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Filled DP state: dp[h][j] = best sum of E/|C| using h clusters over the
-/// first j positions of the ordering; parent[h][j] = the split point i
-/// achieving it. Valid for every h <= k simultaneously.
-struct DpTables {
-  std::vector<std::vector<double>> dp;
-  std::vector<std::vector<std::uint32_t>> parent;
-};
-
 /// Fixed number of start-position blocks per DP level on the parallel
 /// path. Independent of the thread count (determinism contract).
 constexpr std::size_t kDpBlocks = 16;
@@ -63,28 +55,42 @@ void sweep_level(const graph::Hypergraph& h, const part::Ordering& o,
   }
 }
 
-DpTables fill_tables(const graph::Hypergraph& h, const part::Ordering& o,
-                     std::uint32_t k, std::size_t lo, std::size_t hi,
-                     const ParallelConfig& par) {
+}  // namespace
+
+DprpResult dprp_split(const graph::Hypergraph& h, const part::Ordering& o,
+                      const DprpOptions& opts) {
   const std::size_t n = h.num_nodes();
-  DpTables t;
-  t.dp.assign(k + 1, std::vector<double>(n + 1, kInf));
-  t.parent.assign(k + 1, std::vector<std::uint32_t>(n + 1, 0));
-  t.dp[0][0] = 0.0;
+  const std::uint32_t k = opts.k;
+  SP_CHECK_INPUT(k >= 2, "DP-RP: need k >= 2");
+  SP_REQUIRE(part::is_permutation(o, n), "DP-RP: ordering not a permutation");
+  const std::size_t lo = std::max<std::size_t>(1, opts.min_cluster_size);
+  const std::size_t hi =
+      opts.max_cluster_size == 0 ? n : opts.max_cluster_size;
+  SP_CHECK_INPUT(lo <= hi, "DP-RP: min cluster size exceeds max");
+  SP_CHECK_INPUT(k * lo <= n && k * hi >= n,
+                 "DP-RP: size bounds admit no k-way split");
+
+  // dp[h][j] = best sum of E/|C| using h clusters over the first j
+  // positions of the ordering; parent[h][j] = the split point i achieving
+  // it.
+  std::vector<std::vector<double>> dp(k + 1, std::vector<double>(n + 1, kInf));
+  std::vector<std::vector<std::uint32_t>> parents(
+      k + 1, std::vector<std::uint32_t>(n + 1, 0));
+  dp[0][0] = 0.0;
 
   std::vector<std::uint32_t> inside(h.num_nets(), 0);
   std::vector<graph::NetId> touched;
 
   for (std::uint32_t level = 1; level <= k; ++level) {
-    auto& cur = t.dp[level];
-    auto& parent = t.parent[level];
-    const auto& prev = t.dp[level - 1];
+    auto& cur = dp[level];
+    auto& parent = parents[level];
+    const auto& prev = dp[level - 1];
     const std::size_t i_begin = (level - 1) * lo;
     const std::size_t i_end = n >= lo ? n - lo + 1 : 0;
     if (i_begin >= i_end) continue;
     const std::size_t range = i_end - i_begin;
 
-    if (par.serial() || range < 2 * kDpBlocks) {
+    if (opts.parallel.serial() || range < 2 * kDpBlocks) {
       sweep_level(h, o, n, lo, hi, prev, i_begin, i_end, inside, touched,
                   cur, parent);
       continue;
@@ -98,7 +104,7 @@ DpTables fill_tables(const graph::Hypergraph& h, const part::Ordering& o,
       std::vector<double> cur;
       std::vector<std::uint32_t> parent;
     };
-    ParallelConfig blocks = par;
+    ParallelConfig blocks = opts.parallel;
     blocks.grain = (range + kDpBlocks - 1) / kDpBlocks;
     parallel_reduce<Local>(
         blocks, i_begin, i_end, Local{},
@@ -122,19 +128,14 @@ DpTables fill_tables(const graph::Hypergraph& h, const part::Ordering& o,
           return Local{};
         });
   }
-  return t;
-}
+  SP_CHECK_INPUT(dp[k][n] != kInf, "DP-RP: no feasible restricted partition");
 
-DprpResult reconstruct(const graph::Hypergraph& h, const part::Ordering& o,
-                       const DpTables& t, std::uint32_t k) {
-  const std::size_t n = h.num_nodes();
   DprpResult result;
-  if (t.dp[k][n] == kInf) return result;  // feasible stays false
   result.feasible = true;
   result.boundaries.assign(k + 1, 0);
   result.boundaries[k] = n;
   for (std::uint32_t level = k; level >= 1; --level)
-    result.boundaries[level - 1] = t.parent[level][result.boundaries[level]];
+    result.boundaries[level - 1] = parents[level][result.boundaries[level]];
   std::vector<std::uint32_t> assignment(n, 0);
   for (std::uint32_t c = 0; c < k; ++c)
     for (std::size_t pos = result.boundaries[c];
@@ -143,44 +144,6 @@ DprpResult reconstruct(const graph::Hypergraph& h, const part::Ordering& o,
   result.partition = part::Partition(std::move(assignment), k);
   result.scaled_cost = part::scaled_cost(h, result.partition);
   return result;
-}
-
-void validate(const graph::Hypergraph& h, const part::Ordering& o,
-              const DprpOptions& opts, std::size_t* lo, std::size_t* hi) {
-  const std::size_t n = h.num_nodes();
-  SP_CHECK_INPUT(opts.k >= 2, "DP-RP: need k >= 2");
-  SP_REQUIRE(part::is_permutation(o, n), "DP-RP: ordering not a permutation");
-  *lo = std::max<std::size_t>(1, opts.min_cluster_size);
-  *hi = opts.max_cluster_size == 0 ? n : opts.max_cluster_size;
-  SP_CHECK_INPUT(*lo <= *hi, "DP-RP: min cluster size exceeds max");
-}
-
-}  // namespace
-
-DprpResult dprp_split(const graph::Hypergraph& h, const part::Ordering& o,
-                      const DprpOptions& opts) {
-  std::size_t lo = 0, hi = 0;
-  validate(h, o, opts, &lo, &hi);
-  const std::size_t n = h.num_nodes();
-  SP_CHECK_INPUT(opts.k * lo <= n && opts.k * hi >= n,
-                 "DP-RP: size bounds admit no k-way split");
-  const DpTables tables = fill_tables(h, o, opts.k, lo, hi, opts.parallel);
-  DprpResult result = reconstruct(h, o, tables, opts.k);
-  SP_CHECK_INPUT(result.feasible, "DP-RP: no feasible restricted partition");
-  return result;
-}
-
-std::vector<DprpResult> dprp_all_k(const graph::Hypergraph& h,
-                                   const part::Ordering& o,
-                                   const DprpOptions& opts) {
-  std::size_t lo = 0, hi = 0;
-  validate(h, o, opts, &lo, &hi);
-  const DpTables tables = fill_tables(h, o, opts.k, lo, hi, opts.parallel);
-  std::vector<DprpResult> results;
-  results.reserve(opts.k - 1);
-  for (std::uint32_t k = 2; k <= opts.k; ++k)
-    results.push_back(reconstruct(h, o, tables, k));
-  return results;
 }
 
 }  // namespace specpart::spectral

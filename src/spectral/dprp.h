@@ -50,12 +50,4 @@ struct DprpResult {
 DprpResult dprp_split(const graph::Hypergraph& h, const part::Ordering& o,
                       const DprpOptions& opts);
 
-/// The DP table already contains the optimum for EVERY cluster count up to
-/// opts.k (as in [1], which reports all k simultaneously): returns the
-/// best restricted partitioning per k in [2, opts.k]. Entry j corresponds
-/// to k = j + 2; infeasible cluster counts yield feasible == false.
-std::vector<DprpResult> dprp_all_k(const graph::Hypergraph& h,
-                                   const part::Ordering& o,
-                                   const DprpOptions& opts);
-
 }  // namespace specpart::spectral

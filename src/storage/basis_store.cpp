@@ -1,8 +1,9 @@
 #include "storage/basis_store.h"
 
+#include <sys/stat.h>
+
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <vector>
 
@@ -222,12 +223,14 @@ void write_basis_file(const std::string& path, const Fingerprint& key,
     throw Error("storage: flush failed on " + path);
 }
 
-std::optional<BasisHeader> read_basis_header(const std::string& path) {
-  File f(std::fopen(path.c_str(), "rb"));
-  if (f == nullptr) return std::nullopt;
+namespace {
+
+/// Reads and validates the fixed header of the open file `f`, leaving it
+/// positioned at the values block. The size check asks the open file, not
+/// the path, so header and body always come from one file.
+std::optional<BasisHeader> decode_header(std::FILE* f) {
   unsigned char h[kHeaderBytes];
-  if (std::fread(h, 1, kHeaderBytes, f.get()) != kHeaderBytes)
-    return std::nullopt;
+  if (std::fread(h, 1, kHeaderBytes, f) != kHeaderBytes) return std::nullopt;
 
   if (load_u64(h) != kBasisMagic) return std::nullopt;
   if (load_u32(h + 8) != kBasisVersion) return std::nullopt;
@@ -271,24 +274,30 @@ std::optional<BasisHeader> read_basis_header(const std::string& path) {
       out.n > (1ull << 40) / out.d)
     return std::nullopt;
 
-  std::error_code ec;
-  const auto actual = std::filesystem::file_size(path, ec);
-  if (ec || actual != basis_file_size(out.n, out.d, out.chunk_cols))
+  struct stat st;
+  if (fstat(fileno(f), &st) != 0 ||
+      static_cast<std::uint64_t>(st.st_size) !=
+          basis_file_size(out.n, out.d, out.chunk_cols))
     return std::nullopt;
   return out;
 }
 
-spectral::EigenBasis read_basis_file(const std::string& path) {
-  const std::optional<BasisHeader> hdr = read_basis_header(path);
+}  // namespace
+
+std::optional<BasisHeader> read_basis_header(const std::string& path) {
+  File f(std::fopen(path.c_str(), "rb"));
+  if (f == nullptr) return std::nullopt;
+  return decode_header(f.get());
+}
+
+std::optional<spectral::EigenBasis> read_basis_file(const std::string& path) {
+  File f(std::fopen(path.c_str(), "rb"));
+  if (f == nullptr) return std::nullopt;
+  const std::optional<BasisHeader> hdr = decode_header(f.get());
   if (!hdr)
     throw Error("storage: invalid or truncated basis header in " + path);
   const std::size_t n = hdr->n;
   const std::size_t d = hdr->d;
-
-  File f(std::fopen(path.c_str(), "rb"));
-  if (f == nullptr) throw Error("storage: cannot open " + path);
-  if (std::fseek(f.get(), static_cast<long>(kHeaderBytes), SEEK_SET) != 0)
-    throw Error("storage: seek failed in " + path);
 
   spectral::EigenBasis out;
   out.n = n;

@@ -105,12 +105,14 @@ void write_basis_file(const std::string& path, const Fingerprint& key,
 /// validation path, which must not throw on garbage files.
 std::optional<BasisHeader> read_basis_header(const std::string& path);
 
-/// Reads every stored column. Verifies the header, the values checksum
-/// and each chunk's checksum; throws specpart::Error on corruption,
-/// truncation or short read (including the injected storage.short_read /
-/// storage.checksum_flip faults). The returned basis is reconstructed as
-/// clean — only clean bases are ever stored — with zero solve cost
-/// counters, exactly like an in-memory cache hit.
-spectral::EigenBasis read_basis_file(const std::string& path);
+/// Reads every stored column through one open of `path`. Returns nullopt
+/// when the file cannot be opened (absent, or evicted since it was
+/// looked up): that is a miss, not corruption. Verifies the header, the
+/// values checksum and each chunk's checksum; throws specpart::Error on
+/// corruption, truncation or short read (including the injected
+/// storage.short_read / storage.checksum_flip faults). The returned basis
+/// is reconstructed as clean — only clean bases are ever stored — with
+/// zero solve cost counters, exactly like an in-memory cache hit.
+std::optional<spectral::EigenBasis> read_basis_file(const std::string& path);
 
 }  // namespace specpart::storage

@@ -89,21 +89,15 @@ void StoreIndex::open_and_scan() {
       ++stats_.corrupt_quarantined;
       continue;
     }
-    const std::size_t bytes =
-        basis_file_size(hdr->n, hdr->d, hdr->chunk_cols);
-    lru_.push_front(hdr->key);  // newest scanned = most recently used
-    Entry entry;
-    entry.bytes = bytes;
-    entry.lru_pos = lru_.begin();
-    entries_.emplace(hdr->key, std::move(entry));
-    stats_.bytes_on_disk += bytes;
+    // Newest scanned = most recently used.
+    insert_locked(hdr->key, basis_file_size(hdr->n, hdr->d, hdr->chunk_cols));
   }
-  stats_.entries = entries_.size();
   evict_to_budget_locked();
 }
 
 std::optional<spectral::EigenBasis> StoreIndex::load(const Fingerprint& key) {
   const std::string path = entry_path(key);
+  std::uint64_t generation = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = entries_.find(key);
@@ -112,24 +106,44 @@ std::optional<spectral::EigenBasis> StoreIndex::load(const Fingerprint& key) {
       return std::nullopt;
     }
     lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+    generation = it->second.generation;
   }
 
-  // I/O outside the lock: the file is immutable once renamed into place,
-  // and a concurrent eviction at worst turns this into a miss.
+  // I/O outside the lock, through one open: the file is immutable once
+  // renamed into place, so a concurrent eviction either leaves this read
+  // whole or makes the open fail.
+  std::optional<spectral::EigenBasis> basis;
   try {
-    spectral::EigenBasis basis = read_basis_file(path);
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.hits;
-    return basis;
+    basis = read_basis_file(path);
   } catch (const Error&) {
     // Corruption discovered after open (bit rot, truncation, injected
     // fault): quarantine and degrade to a miss — never throw into
-    // serving, never serve wrong bytes.
+    // serving, never serve wrong bytes. Only the generation that was read
+    // goes: if the key was evicted and stored again meanwhile, the file
+    // at `path` is a fresh one.
     std::lock_guard<std::mutex> lock(mutex_);
-    quarantine_locked(key, path);
+    if (drop_locked(key, generation)) {
+      std::error_code ec;
+      fs::rename(path, path + std::string(kQuarantineSuffix), ec);
+      if (ec) fs::remove(path, ec);  // fall back to unlink; never rethrow
+      ++stats_.corrupt_quarantined;
+    }
     ++stats_.misses;
     return std::nullopt;
   }
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (basis) {
+    ++stats_.hits;
+    return basis;
+  }
+  // The open failed. An eviction drops the entry with its file, so an
+  // entry of the generation looked up that is still indexed has no file:
+  // a duplicate spill of the key published before an eviction and
+  // indexed after it, or the file was removed outside the index. Forget
+  // it, so the next store persists the key again.
+  drop_locked(key, generation);
+  ++stats_.misses;
+  return std::nullopt;
 }
 
 bool StoreIndex::store(const Fingerprint& key,
@@ -184,17 +198,9 @@ bool StoreIndex::store(const Fingerprint& key,
     return false;
   }
 
-  const std::size_t bytes =
-      basis_file_size(basis.n, basis.dimension(), kChunkCols);
   std::lock_guard<std::mutex> lock(mutex_);
   if (entries_.find(key) == entries_.end()) {
-    lru_.push_front(key);
-    Entry entry;
-    entry.bytes = bytes;
-    entry.lru_pos = lru_.begin();
-    entries_.emplace(key, std::move(entry));
-    stats_.bytes_on_disk += bytes;
-    stats_.entries = entries_.size();
+    insert_locked(key, basis_file_size(basis.n, basis.dimension(), kChunkCols));
     ++stats_.spills;
     evict_to_budget_locked();
   }
@@ -211,19 +217,27 @@ StoreStats StoreIndex::stats() const {
   return stats_;
 }
 
-void StoreIndex::quarantine_locked(const Fingerprint& key,
-                                   const std::string& path) {
+void StoreIndex::insert_locked(const Fingerprint& key, std::size_t bytes) {
+  lru_.push_front(key);
+  Entry entry;
+  entry.bytes = bytes;
+  entry.lru_pos = lru_.begin();
+  entry.generation = next_generation_++;
+  entries_.emplace(key, std::move(entry));
+  stats_.bytes_on_disk += bytes;
+  stats_.entries = entries_.size();
+}
+
+bool StoreIndex::drop_locked(const Fingerprint& key,
+                             std::uint64_t generation) {
   auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    stats_.bytes_on_disk -= it->second.bytes;
-    lru_.erase(it->second.lru_pos);
-    entries_.erase(it);
-    stats_.entries = entries_.size();
-  }
-  std::error_code ec;
-  fs::rename(path, path + std::string(kQuarantineSuffix), ec);
-  if (ec) fs::remove(path, ec);  // fall back to unlink; never rethrow
-  ++stats_.corrupt_quarantined;
+  if (it == entries_.end() || it->second.generation != generation)
+    return false;
+  stats_.bytes_on_disk -= it->second.bytes;
+  lru_.erase(it->second.lru_pos);
+  entries_.erase(it);
+  stats_.entries = entries_.size();
+  return true;
 }
 
 void StoreIndex::evict_to_budget_locked() {

@@ -72,7 +72,8 @@ class StoreIndex {
 
   /// Loads every stored column of the entry for `key`, or nullopt when
   /// absent. A corrupt entry is quarantined, counted, and reported as a
-  /// miss; this never throws into serving.
+  /// miss; this never throws into serving. A file evicted (and perhaps
+  /// stored again) between the lookup and the read is a plain miss.
   std::optional<spectral::EigenBasis> load(const Fingerprint& key);
 
   /// Persists `basis` under `key` via temp-file + atomic rename, then
@@ -100,18 +101,26 @@ class StoreIndex {
     std::size_t bytes = 0;
     /// Position in lru_ (front = most recently used).
     std::list<Fingerprint>::iterator lru_pos;
+    /// Distinct for every file the index takes in, so a read that fails
+    /// can tell whether the entry it looked up is still the indexed one.
+    std::uint64_t generation = 0;
   };
 
   /// Directory scan: delete temps, validate headers, quarantine garbage,
   /// seed the LRU in mtime order, evict to budget.
   void open_and_scan();
-  void quarantine_locked(const Fingerprint& key, const std::string& path);
+  /// Indexes `key` as the newest entry of `bytes` with a fresh generation.
+  void insert_locked(const Fingerprint& key, std::size_t bytes);
+  /// Drops `key`'s entry if it is still `generation`; returns whether it
+  /// did.
+  bool drop_locked(const Fingerprint& key, std::uint64_t generation);
   void evict_to_budget_locked();
 
   StoreOptions opts_;
   /// Numbers each write's temp file (see store()).
   std::atomic<std::uint64_t> next_temp_{0};
   mutable std::mutex mutex_;
+  std::uint64_t next_generation_ = 0;
   std::list<Fingerprint> lru_;
   std::unordered_map<Fingerprint, Entry, FingerprintHash> entries_;
   StoreStats stats_;

@@ -8,7 +8,6 @@
 #include <cmath>
 
 #include "model/clique_models.h"
-#include "model/transforms.h"
 #include "util/rng.h"
 
 namespace specpart::model {
@@ -103,33 +102,6 @@ TEST(CliqueExpand, SinglePinNetsIgnored) {
   graph::Hypergraph h(2, {{0}, {0, 1}});
   const graph::Graph g = clique_expand(h, NetModel::kStandard);
   EXPECT_EQ(g.num_edges(), 1u);
-}
-
-TEST(StarExpand, AddsDummyPerNet) {
-  graph::Hypergraph h(3, {{0, 1, 2}, {1, 2}});
-  std::vector<std::uint32_t> dummy_of;
-  const graph::Graph g = star_expand(h, 1.0, &dummy_of);
-  EXPECT_EQ(g.num_nodes(), 5u);  // 3 modules + 2 dummies
-  EXPECT_EQ(g.num_edges(), 5u);  // 3 + 2 star edges
-  EXPECT_EQ(dummy_of[0], 3u);
-  EXPECT_EQ(dummy_of[1], 4u);
-  EXPECT_DOUBLE_EQ(g.degree(3), 3.0);
-}
-
-TEST(StarExpand, SkipsSinglePinNets) {
-  graph::Hypergraph h(2, {{0}, {0, 1}});
-  std::vector<std::uint32_t> dummy_of;
-  const graph::Graph g = star_expand(h, 2.0, &dummy_of);
-  EXPECT_EQ(g.num_nodes(), 3u);
-  EXPECT_EQ(dummy_of[0], UINT32_MAX);
-  EXPECT_DOUBLE_EQ(g.total_edge_weight(), 4.0);  // 2 edges x weight 2
-}
-
-TEST(DualGraph, SharedModulesBecomeWeights) {
-  graph::Hypergraph h(4, {{0, 1, 2}, {1, 2, 3}, {3}});
-  const graph::Graph g = dual_graph(h);
-  EXPECT_EQ(g.num_nodes(), 3u);  // one vertex per net
-  EXPECT_DOUBLE_EQ(g.total_edge_weight(), 3.0);  // nets 0,1 share {1,2}; 1,2 share {3}
 }
 
 }  // namespace

@@ -162,41 +162,5 @@ TEST(Dprp, ScaledCostMatchesObjectiveModule) {
   EXPECT_NEAR(r.scaled_cost, part::scaled_cost(h, r.partition), 1e-12);
 }
 
-TEST(DprpAllK, EachKMatchesIndividualSolve) {
-  const graph::Hypergraph h = random_netlist(20, 30, 13);
-  part::Ordering o(20);
-  std::iota(o.begin(), o.end(), 0u);
-  Rng rng(14);
-  rng.shuffle(o);
-  DprpOptions opts;
-  opts.k = 5;
-  const auto all = dprp_all_k(h, o, opts);
-  ASSERT_EQ(all.size(), 4u);  // k = 2..5
-  for (std::uint32_t k = 2; k <= 5; ++k) {
-    DprpOptions single = opts;
-    single.k = k;
-    const DprpResult direct = dprp_split(h, o, single);
-    ASSERT_TRUE(all[k - 2].feasible);
-    EXPECT_NEAR(all[k - 2].scaled_cost, direct.scaled_cost, 1e-12)
-        << "k=" << k;
-  }
-}
-
-TEST(DprpAllK, InfeasibleKsFlagged) {
-  const graph::Hypergraph h = random_netlist(10, 15, 15);
-  part::Ordering o(10);
-  std::iota(o.begin(), o.end(), 0u);
-  DprpOptions opts;
-  opts.k = 6;
-  opts.min_cluster_size = 3;  // k >= 4 infeasible (4 * 3 > 10)
-  const auto all = dprp_all_k(h, o, opts);
-  ASSERT_EQ(all.size(), 5u);
-  EXPECT_TRUE(all[0].feasible);   // k = 2
-  EXPECT_TRUE(all[1].feasible);   // k = 3
-  EXPECT_FALSE(all[2].feasible);  // k = 4
-  EXPECT_FALSE(all[3].feasible);  // k = 5
-  EXPECT_FALSE(all[4].feasible);  // k = 6
-}
-
 }  // namespace
 }  // namespace specpart::spectral

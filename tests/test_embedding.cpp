@@ -1,12 +1,19 @@
 // Tests for the spectral embedding driver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <tuple>
+#include <utility>
 
+#include "graph/generator.h"
 #include "graph/graph.h"
 #include "graph/hypergraph.h"
 #include "graph/laplacian.h"
+#include "linalg/symmetric_eigen.h"
 #include "model/assembly.h"
+#include "multilevel/vcycle.h"
 #include "spectral/embedding.h"
 #include "util/rng.h"
 
@@ -173,6 +180,135 @@ TEST(Embedding, FlatSolveRecordsLanczosPhaseCounters) {
   }
   EXPECT_GT(diag.counter("eigensolve", "lanczos_reorth_us"), 0u);
 }
+
+// --- The dense decomposition as the oracle of every solve path -----------
+
+/// Largest basis width the oracle test picks.
+constexpr std::size_t kOracleMaxD = 12;
+
+/// One generated netlist's operator under one objective, with the dense
+/// decomposition's smallest kOracleMaxD + 1 pairs. Built once and shared
+/// by every path compared against it.
+struct DenseOracle {
+  linalg::SymCsrMatrix op;
+  linalg::EigenDecomposition dense;
+};
+
+const DenseOracle& dense_oracle(std::uint64_t seed,
+                                linalg::ObjectiveModel objective) {
+  static std::map<std::pair<std::uint64_t, linalg::ObjectiveModel>,
+                  DenseOracle>
+      oracles;
+  const auto key = std::make_pair(seed, objective);
+  auto it = oracles.find(key);
+  if (it == oracles.end()) {
+    // n = 600 is above the dense threshold and the V-cycle's coarsest
+    // size, so both iterative paths run and the V-cycle coarsens.
+    graph::GeneratorConfig cfg;
+    cfg.num_modules = 600;
+    cfg.num_nets = 700;
+    cfg.seed = seed;
+    const graph::Hypergraph h = graph::generate_netlist(cfg);
+    const model::CliqueModel cm(h, model::NetModel::kPartitioningSpecific);
+    DenseOracle o{cm.operator_matrix(objective), {}};
+    o.dense = linalg::solve_symmetric_eigen_smallest(o.op.to_dense(),
+                                                     kOracleMaxD + 1);
+    it = oracles.emplace(key, std::move(o)).first;
+  }
+  return it->second;
+}
+
+/// Largest singular value of a tall matrix with few columns, from the
+/// eigenvalues of its Gram matrix.
+double spectral_norm(const linalg::DenseMatrix& m) {
+  const linalg::DenseMatrix gram = m.transposed().multiply(m);
+  const linalg::EigenDecomposition e = linalg::solve_symmetric_eigen(gram);
+  return std::sqrt(std::max(0.0, e.values.back()));
+}
+
+class EveryPathMatchesDense
+    : public ::testing::TestWithParam<
+          std::tuple<linalg::SolverStrategy, linalg::ObjectiveModel>> {};
+
+TEST_P(EveryPathMatchesDense, EigenvaluesAndSubspace) {
+  const auto [strategy, objective] = GetParam();
+  const bool multilevel = strategy == linalg::SolverStrategy::kMultilevel;
+  // The residual each path certifies, relative to the Gershgorin scale.
+  const double tolerance =
+      multilevel ? multilevel::kRefineTolerance : linalg::kSolverTolerance;
+  for (const std::uint64_t seed : {11u, 12u}) {
+    SCOPED_TRACE(testing::Message() << "netlist seed " << seed);
+    const DenseOracle& oracle = dense_oracle(seed, objective);
+    const linalg::Vec& lambda = oracle.dense.values;
+    const std::size_t n = oracle.op.size();
+    const double scale = oracle.op.gershgorin_upper();
+
+    // d in [6, kOracleMaxD] where the dense gap lambda_{d+1} - lambda_d is
+    // widest relative to lambda_{d+1}, so the subspace is well separated.
+    std::size_t d = 6;
+    for (std::size_t c = 7; c <= kOracleMaxD; ++c)
+      if ((lambda[c] - lambda[c - 1]) / lambda[c] >
+          (lambda[d] - lambda[d - 1]) / lambda[d])
+        d = c;
+    SCOPED_TRACE(testing::Message() << "d = " << d);
+
+    EmbeddingOptions opts;
+    opts.count = d;
+    opts.solver.strategy = strategy;
+    if (!multilevel) opts.solver.dense_threshold = 0;
+    opts.objective = objective;
+    Diagnostics diag;
+    const EigenBasis basis = compute_eigenbasis(oracle.op, opts, &diag);
+    ASSERT_TRUE(basis.converged);
+    ASSERT_EQ(basis.dimension(), d);
+    // The path under test produced the basis: no reseed, no flat fallback
+    // from the V-cycle, no dense fallback.
+    EXPECT_EQ(diag.stage_fallbacks("eigensolve"), 0u);
+    if (multilevel) {
+      EXPECT_GE(diag.counter("eigensolve", "multilevel_levels"), 1u);
+      EXPECT_LT(diag.counter("eigensolve", "multilevel_coarsest_n"), n);
+    }
+
+    // Residual R = Q U - U diag(theta); each column within the path's
+    // certificate, and each eigenvalue within it too.
+    linalg::DenseMatrix residual(n, d);
+    for (std::size_t j = 0; j < d; ++j) {
+      const linalg::Vec u = basis.vectors.col(j);
+      linalg::Vec r = oracle.op.matvec(u);
+      linalg::axpy(-basis.values[j], u, r);
+      EXPECT_LE(linalg::norm(r), tolerance * scale) << "pair " << j;
+      residual.set_col(j, r);
+      EXPECT_NEAR(basis.values[j], lambda[j], tolerance * scale)
+          << "pair " << j;
+    }
+
+    // Davis-Kahan: sin of the largest principal angle between span(U) and
+    // the dense span(V) is at most ||R|| / gap, with the gap between the
+    // largest computed value and lambda_{d+1}.
+    linalg::DenseMatrix v(n, d);
+    for (std::size_t j = 0; j < d; ++j)
+      v.set_col(j, oracle.dense.vectors.col(j));
+    const linalg::DenseMatrix vtu = v.transposed().multiply(basis.vectors);
+    const linalg::DenseMatrix proj = v.multiply(vtu);
+    linalg::DenseMatrix outside(n, d);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < d; ++j)
+        outside.at(i, j) = basis.vectors.at(i, j) - proj.at(i, j);
+    const double gap = lambda[d] - basis.values[d - 1];
+    ASSERT_GT(gap, 0.0);
+    const double sin_max = spectral_norm(outside);
+    const double bound = spectral_norm(residual) / gap;
+    EXPECT_LE(sin_max, bound * (1.0 + 1e-6) + 1e-10) << "gap = " << gap;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FlatAndVcycle, EveryPathMatchesDense,
+    ::testing::Combine(
+        ::testing::Values(linalg::SolverStrategy::kFlat,
+                          linalg::SolverStrategy::kMultilevel),
+        ::testing::Values(linalg::ObjectiveModel::kUnnormalized,
+                          linalg::ObjectiveModel::kNormalizedSymmetric)));
 
 }  // namespace
 }  // namespace specpart::spectral

@@ -1,21 +1,16 @@
 // Tests for the extended algorithm set: Barnes' transportation method,
-// Frankle-Karp probes, Kernighan-Lin, multilevel partitioning, cluster
-// extraction, and Hall placement.
+// Frankle-Karp probes, multilevel partitioning, k-way FM and spectral
+// k-means.
 #include <gtest/gtest.h>
 
-#include "core/clustering.h"
 #include "graph/generator.h"
-#include "part/kl.h"
 #include "part/kwayfm.h"
 #include "part/multilevel.h"
 #include "part/objectives.h"
-#include "model/clique_models.h"
 #include "multilevel/coarsen.h"
 #include "spectral/barnes.h"
-#include "spectral/embedding.h"
 #include "spectral/fkprobe.h"
 #include "spectral/kmeans.h"
-#include "spectral/placement.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -104,55 +99,6 @@ TEST(FkProbe, MoreProbesNeverWorse) {
   // only improve the best.
   EXPECT_LE(spectral::fk_probe_bipartition(h, many).cut,
             spectral::fk_probe_bipartition(h, few).cut + 1e-9);
-}
-
-// --- Kernighan-Lin -------------------------------------------------------
-
-graph::Graph two_cliques_bridge(std::size_t half) {
-  std::vector<graph::Edge> edges;
-  for (graph::NodeId i = 0; i < half; ++i)
-    for (graph::NodeId j = i + 1; j < half; ++j) edges.push_back({i, j, 1.0});
-  for (graph::NodeId i = half; i < 2 * half; ++i)
-    for (graph::NodeId j = i + 1; j < 2 * half; ++j)
-      edges.push_back({i, j, 1.0});
-  edges.push_back({0, static_cast<graph::NodeId>(half), 1.0});
-  return graph::Graph(2 * half, edges);
-}
-
-TEST(Kl, FindsTwoCliques) {
-  const graph::Graph g = two_cliques_bridge(8);
-  const part::KlResult r = part::kl_bipartition(g, part::KlOptions{});
-  EXPECT_DOUBLE_EQ(r.cut, 1.0);
-  EXPECT_EQ(r.partition.cluster_size(0), 8u);
-}
-
-TEST(Kl, RefineNeverWorsensAndPreservesSizes) {
-  Rng rng(8);
-  std::vector<graph::Edge> edges;
-  for (int e = 0; e < 200; ++e) {
-    const auto u = static_cast<graph::NodeId>(rng.next_below(40));
-    const auto v = static_cast<graph::NodeId>(rng.next_below(40));
-    if (u != v) edges.push_back({u, v, 1.0 + rng.next_double()});
-  }
-  const graph::Graph g(40, edges);
-  std::vector<std::uint32_t> a(40);
-  for (std::size_t i = 0; i < 40; ++i) a[i] = i % 2;
-  const part::Partition init(a, 2);
-  const double before = part::cut_weight(g, init);
-  const part::KlResult r = part::kl_refine(g, init, part::KlOptions{});
-  EXPECT_LE(r.cut, before + 1e-9);
-  EXPECT_EQ(r.partition.cluster_size(0), init.cluster_size(0));
-  EXPECT_EQ(r.partition.cluster_size(1), init.cluster_size(1));
-}
-
-TEST(Kl, ExactWindowMatchesOrBeatsSmallWindow) {
-  const graph::Graph g = two_cliques_bridge(6);
-  part::KlOptions small;
-  small.candidate_window = 1;
-  part::KlOptions full;
-  full.candidate_window = 0;
-  EXPECT_LE(part::kl_bipartition(g, full).cut,
-            part::kl_bipartition(g, small).cut + 1e-9);
 }
 
 // --- Multilevel ----------------------------------------------------------
@@ -274,49 +220,6 @@ TEST(KWayFm, BipartitionCaseMatchesPlainFm) {
   EXPECT_EQ(r.partition.k(), 2u);
 }
 
-// --- Cluster extraction ---------------------------------------------------
-
-TEST(Clustering, CoversAllVertices) {
-  const graph::Hypergraph h = planted(160, 4, 15, 0.85);
-  const core::ClusteringResult r =
-      core::extract_clusters(h, core::ClusteringOptions{});
-  EXPECT_GE(r.num_clusters, 2u);
-  std::size_t total = 0;
-  for (std::uint32_t c = 0; c < r.partition.k(); ++c)
-    total += r.partition.cluster_size(c);
-  EXPECT_EQ(total, h.num_nodes());
-  EXPECT_EQ(r.partition.num_nonempty(), r.num_clusters);
-}
-
-TEST(Clustering, FindsPlantedStructure) {
-  const graph::Hypergraph h = planted(200, 4, 16, 0.92);
-  core::ClusteringOptions opts;
-  opts.min_cluster_fraction = 0.10;
-  const core::ClusteringResult r = core::extract_clusters(h, opts);
-  // Quality proxy: scaled cost below round-robin with the same k (the
-  // extraction is greedy and may over-segment, so the margin is modest).
-  std::vector<std::uint32_t> rr(h.num_nodes());
-  for (std::size_t i = 0; i < rr.size(); ++i) rr[i] = i % r.num_clusters;
-  EXPECT_LT(part::scaled_cost(h, r.partition),
-            0.9 * part::scaled_cost(h, part::Partition(rr, r.num_clusters)));
-}
-
-TEST(Clustering, MaxClustersHonored) {
-  const graph::Hypergraph h = planted(150, 6, 17, 0.9);
-  core::ClusteringOptions opts;
-  opts.max_clusters = 3;
-  const core::ClusteringResult r = core::extract_clusters(h, opts);
-  EXPECT_LE(r.num_clusters, 3u);
-}
-
-TEST(Clustering, RejectsBadFractions) {
-  const graph::Hypergraph h = planted(30, 2, 18);
-  core::ClusteringOptions opts;
-  opts.min_cluster_fraction = 0.6;
-  opts.max_cluster_fraction = 0.4;
-  EXPECT_THROW(core::extract_clusters(h, opts), Error);
-}
-
 // --- Spectral k-means -------------------------------------------------------
 
 TEST(Kmeans, ProducesKNonEmptyClusters) {
@@ -352,57 +255,6 @@ TEST(Kmeans, RejectsBadK) {
                Error);
   EXPECT_THROW(spectral::kmeans_partition(h, 100, spectral::KmeansOptions{}),
                Error);
-}
-
-// --- Hall placement --------------------------------------------------------
-
-TEST(Placement, WirelengthEqualsEigenvalueSum) {
-  const graph::Hypergraph h = planted(80, 2, 19);
-  spectral::PlacementOptions opts;
-  opts.dimensions = 3;
-  const spectral::Placement p = spectral::hall_placement(h, opts);
-  // sum_e w_e ||x_u-x_v||^2 = sum_j lambda_j over the placed eigenvectors.
-  const graph::Graph g =
-      model::clique_expand(h, model::NetModel::kPartitioningSpecific);
-  spectral::EmbeddingOptions eo;
-  eo.count = 3;
-  eo.skip_trivial = true;
-  const auto basis = spectral::compute_eigenbasis(g, eo);
-  double lambda_sum = 0.0;
-  for (double v : basis.values) lambda_sum += v;
-  EXPECT_NEAR(p.quadratic_wirelength, lambda_sum,
-              1e-6 * (1.0 + lambda_sum));
-}
-
-TEST(Placement, BeatsRandomPlacementOfSameScale) {
-  const graph::Hypergraph h = planted(100, 3, 20);
-  spectral::PlacementOptions opts;
-  const spectral::Placement hall = spectral::hall_placement(h, opts);
-  const graph::Graph g =
-      model::clique_expand(h, model::NetModel::kPartitioningSpecific);
-  // Random unit-norm columns, same shape.
-  Rng rng(21);
-  linalg::DenseMatrix random(hall.coords.rows(), hall.coords.cols());
-  for (std::size_t j = 0; j < random.cols(); ++j) {
-    linalg::Vec col(random.rows());
-    for (double& x : col) x = rng.next_normal();
-    linalg::normalize(col);
-    random.set_col(j, col);
-  }
-  EXPECT_LT(hall.quadratic_wirelength,
-            spectral::quadratic_wirelength(g, random));
-}
-
-TEST(Placement, CoordinatesAreCentered) {
-  const graph::Hypergraph h = planted(60, 2, 22);
-  const spectral::Placement p =
-      spectral::hall_placement(h, spectral::PlacementOptions{});
-  for (std::size_t j = 0; j < p.coords.cols(); ++j) {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < p.coords.rows(); ++i)
-      sum += p.coords.at(i, j);
-    EXPECT_NEAR(sum, 0.0, 1e-6);  // orthogonal to the constant vector
-  }
 }
 
 }  // namespace

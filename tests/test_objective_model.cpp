@@ -282,8 +282,10 @@ TEST(BasisStore, ObjectiveTokenRoundTripsThroughTheHeader) {
   // The payload reads back bit-identical either way, and the extension
   // zone is integrity-checked: flipping one token byte invalidates the
   // header instead of decoding a wrong objective.
-  const spectral::EigenBasis r = storage::read_basis_file(norm_path);
-  EXPECT_EQ(r.values[1], b.values[1]);
+  const std::optional<spectral::EigenBasis> r =
+      storage::read_basis_file(norm_path);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->values[1], b.values[1]);
   std::fstream corrupt(norm_path,
                        std::ios::binary | std::ios::in | std::ios::out);
   corrupt.seekp(130);

@@ -5,12 +5,10 @@
 #include <numeric>
 
 #include "core/drivers.h"
-#include "core/maxcut.h"
 #include "core/reduction.h"
 #include "graph/generator.h"
 #include "graph/laplacian.h"
 #include "model/clique_models.h"
-#include "model/transforms.h"
 #include "part/fm.h"
 #include "part/multilevel.h"
 #include "part/objectives.h"
@@ -192,47 +190,6 @@ TEST_P(SeedSweep, MultilevelCompetitiveWithFlatFm) {
   // Multilevel must be in the same league as flat FM (usually better on
   // larger instances; never catastrophically worse).
   EXPECT_LE(multi, 1.5 * flat + 5.0) << "flat=" << flat;
-}
-
-TEST_P(SeedSweep, StarExpandCutDominatesNetCut) {
-  // With each net's dummy vertex placed on its majority side, the star
-  // model's edge cut is >= the hypergraph net cut (each cut net leaves at
-  // least one star edge crossing).
-  const std::uint64_t seed = GetParam();
-  const graph::Hypergraph h = instance(60, seed);
-  std::vector<std::uint32_t> dummy_of;
-  const graph::Graph star = model::star_expand(h, 1.0, &dummy_of);
-  Rng rng(seed + 31);
-  std::vector<std::uint32_t> a(star.num_nodes(), 0);
-  for (graph::NodeId v = 0; v < h.num_nodes(); ++v)
-    a[v] = rng.next_bool() ? 1 : 0;
-  const part::Partition hp(
-      std::vector<std::uint32_t>(a.begin(),
-                                 a.begin() + static_cast<std::ptrdiff_t>(
-                                                 h.num_nodes())),
-      2);
-  // Place each dummy on its net's majority side.
-  for (graph::NetId e = 0; e < h.num_nets(); ++e) {
-    if (dummy_of[e] == UINT32_MAX) continue;
-    std::size_t side1 = 0;
-    for (graph::NodeId v : h.net(e)) side1 += a[v];
-    a[dummy_of[e]] = 2 * side1 >= h.net(e).size() ? 1 : 0;
-  }
-  const part::Partition sp(a, 2);
-  EXPECT_GE(part::cut_weight(star, sp) + 1e-9, part::cut_nets(h, hp));
-}
-
-TEST_P(SeedSweep, MaxCutHeuristicsDeterministic) {
-  const std::uint64_t seed = GetParam();
-  const graph::Hypergraph h = instance(50, seed);
-  const graph::Graph g =
-      model::clique_expand(h, model::NetModel::kStandard);
-  core::MaxCutOptions opts;
-  opts.seed = seed;
-  const auto a = core::max_cut_melo(g, opts);
-  const auto b = core::max_cut_melo(g, opts);
-  EXPECT_EQ(a.partition.assignment(), b.partition.assignment());
-  EXPECT_DOUBLE_EQ(a.cut, b.cut);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep,

@@ -1,8 +1,8 @@
 // Tests for the persistent eigenbasis store (src/storage): on-disk format
-// round-trips, prefix reuse, corruption quarantine, crash-safe and
-// concurrent writes, byte-budgeted eviction, and the serving tier's
-// restart/thread-count determinism and evict-time re-spill with tier 2
-// enabled.
+// round-trips, corruption quarantine, missing files as misses, crash-safe
+// and concurrent writes, reads racing eviction, byte-budgeted eviction,
+// and the serving tier's restart/thread-count determinism and evict-time
+// re-spill with tier 2 enabled.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -111,8 +111,9 @@ TEST(BasisFile, RoundTripIsBitIdentical) {
   const Fingerprint key = make_key(3);
   write_basis_file(path, key, b, "scalar", "flat");
 
-  const spectral::EigenBasis r = read_basis_file(path);
-  expect_bit_equal(b, r, 10);
+  const std::optional<spectral::EigenBasis> r = read_basis_file(path);
+  ASSERT_TRUE(r.has_value());
+  expect_bit_equal(b, *r, 10);
   const std::optional<BasisHeader> hdr = read_basis_header(path);
   ASSERT_TRUE(hdr.has_value());
   EXPECT_EQ(hdr->n, 37u);
@@ -122,11 +123,11 @@ TEST(BasisFile, RoundTripIsBitIdentical) {
   EXPECT_EQ(hdr->solver_token, "scalar");
   EXPECT_EQ(hdr->strategy_token, "flat");
   // The loaded basis presents as a clean zero-cost cache hit.
-  EXPECT_TRUE(r.converged);
-  EXPECT_EQ(r.converged_pairs, 10u);
-  EXPECT_FALSE(r.truncated);
-  EXPECT_FALSE(r.budget_exhausted);
-  EXPECT_EQ(r.solve_flops, 0u);
+  EXPECT_TRUE(r->converged);
+  EXPECT_EQ(r->converged_pairs, 10u);
+  EXPECT_FALSE(r->truncated);
+  EXPECT_FALSE(r->budget_exhausted);
+  EXPECT_EQ(r->solve_flops, 0u);
   // The file size formula matches reality (the eviction accounting
   // depends on it).
   EXPECT_EQ(fs::file_size(path), basis_file_size(37, 10, kChunkCols));
@@ -139,6 +140,8 @@ TEST(BasisFile, HeaderRejectsGarbageWithoutThrowing) {
   std::ofstream(path, std::ios::binary) << "this is not a basis file";
   EXPECT_FALSE(read_basis_header(path).has_value());
   EXPECT_FALSE(read_basis_header(dir.path() + "/absent.eb").has_value());
+  // An absent file is a miss for the body reader too, not an error.
+  EXPECT_FALSE(read_basis_file(dir.path() + "/absent.eb").has_value());
 
   // A valid file truncated mid-chunk fails the exact-size check.
   const std::string full = dir.path() + "/full.eb";
@@ -353,6 +356,82 @@ TEST(StoreIndex, ConcurrentStoresOfOneKeyKeepOneIntactEntry) {
   EXPECT_EQ(stats.corrupt_quarantined, 0u);
   EXPECT_EQ(missed_rounds, 0u);
   EXPECT_EQ(unequal_rounds, 0u);
+}
+
+TEST(StoreIndex, MissingFileIsAMissNotCorruption) {
+  // A file that vanished behind the index's back is a miss, not a
+  // quarantine; the stale entry is forgotten so the next store persists
+  // the key again.
+  TempDir dir("vanished");
+  const Fingerprint key = make_key(23);
+  const spectral::EigenBasis b = make_basis(17, 8, 23);
+  StoreOptions opts;
+  opts.dir = dir.path();
+  StoreIndex index(opts);
+  ASSERT_TRUE(index.store(key, b, "scalar", "flat"));
+  fs::remove(index.entry_path(key));
+
+  EXPECT_FALSE(index.load(key).has_value());
+  EXPECT_FALSE(index.contains(key));
+  StoreStats s = index.stats();
+  EXPECT_EQ(s.corrupt_quarantined, 0u);
+  EXPECT_EQ(s.entries, 0u);
+  EXPECT_EQ(s.bytes_on_disk, 0u);
+
+  ASSERT_TRUE(index.store(key, b, "scalar", "flat"));
+  const auto loaded = index.load(key);
+  ASSERT_TRUE(loaded.has_value());
+  expect_bit_equal(b, *loaded, 8);
+  s = index.stats();
+  EXPECT_EQ(s.spills, 2u);
+  EXPECT_EQ(s.hits, 1u);
+}
+
+TEST(StoreIndex, EvictionUnderAReadIsAMissNotCorruption) {
+  // A reader loops on key A while a writer alternately stores B and A
+  // into a store with room for one entry, so A's file is evicted and
+  // stored again under the reader. No byte is corrupt anywhere: a read
+  // that loses its file is a miss, nothing is quarantined, and A's fresh
+  // entry stays indexed.
+  constexpr std::size_t kRounds = 2000;
+  TempDir dir("evictread");
+  const spectral::EigenBasis a = make_basis(50, 8, 41);
+  const spectral::EigenBasis b = make_basis(50, 8, 42);
+  const Fingerprint key_a = make_key(41);
+  const Fingerprint key_b = make_key(42);
+  StoreOptions opts;
+  opts.dir = dir.path();
+  opts.budget_bytes = basis_file_size(50, 8, kChunkCols);
+  StoreIndex index(opts);
+  ASSERT_TRUE(index.store(key_a, a, "scalar", "flat"));
+
+  std::atomic<bool> done{false};
+  std::size_t unequal = 0;
+  std::thread reader([&] {
+    while (!done.load()) {
+      const auto loaded = index.load(key_a);
+      if (loaded && (loaded->values != a.values ||
+                     std::memcmp(loaded->vectors.data(), a.vectors.data(),
+                                 sizeof(double) * a.n * 8) != 0))
+        ++unequal;
+    }
+  });
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    index.store(key_b, b, "scalar", "flat");
+    index.store(key_a, a, "scalar", "flat");
+  }
+  done = true;
+  reader.join();
+
+  const StoreStats stats = index.stats();
+  EXPECT_EQ(stats.corrupt_quarantined, 0u);
+  EXPECT_EQ(stats.spill_failures, 0u);
+  EXPECT_EQ(unequal, 0u);
+  EXPECT_TRUE(index.contains(key_a));
+  std::size_t quarantined = 0;
+  for (const auto& de : fs::directory_iterator(dir.path()))
+    if (de.path().extension() == ".quarantined") ++quarantined;
+  EXPECT_EQ(quarantined, 0u);
 }
 
 TEST(StoreIndex, EvictsLeastRecentlyUsedBeyondBudget) {

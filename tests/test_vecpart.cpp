@@ -83,41 +83,5 @@ TEST(VecPart, ExactRejectsInfeasibleConstraints) {
   EXPECT_THROW(solve_max_sum_exact(inst, 2, 2, 2), Error);
 }
 
-TEST(VpLocalSearch, NeverDecreasesObjective) {
-  const VectorInstance inst = make_instance(
-      {{1, 0}, {0.8, 0.2}, {0, 1}, {0.1, 0.9}, {-1, 0}, {0, -1}});
-  const part::Partition init({0, 1, 0, 1, 0, 1}, 2);
-  const double before = sum_of_squared_magnitudes(inst, init);
-  const part::Partition improved = vp_local_search_max_sum(inst, init);
-  EXPECT_GE(sum_of_squared_magnitudes(inst, improved), before - 1e-12);
-}
-
-TEST(VpLocalSearch, ReachesExactOptimumOnEasyInstance) {
-  // Two aligned groups; local search from the interleaved start must find
-  // the grouped optimum under 2+2 size bounds.
-  const VectorInstance inst =
-      make_instance({{1, 0}, {0, 1}, {1, 0.1}, {0.1, 1}});
-  const part::Partition init({0, 0, 1, 1}, 2);
-  const part::Partition improved =
-      vp_local_search_max_sum(inst, init, 2, 2);
-  const part::Partition exact = solve_max_sum_exact(inst, 2, 2, 2);
-  EXPECT_NEAR(sum_of_squared_magnitudes(inst, improved),
-              sum_of_squared_magnitudes(inst, exact), 1e-12);
-  EXPECT_EQ(improved.cluster_of(0), improved.cluster_of(2));
-}
-
-TEST(VpLocalSearch, RespectsSizeBounds) {
-  const VectorInstance inst =
-      make_instance({{5, 0}, {5, 0}, {5, 0}, {5, 0}, {0, 0.1}, {0, 0.2}});
-  // Unconstrained optimum merges everything; bounds 2..4 forbid it.
-  const part::Partition init({0, 0, 0, 1, 1, 1}, 2);
-  const part::Partition improved =
-      vp_local_search_max_sum(inst, init, 2, 4);
-  for (std::uint32_t c = 0; c < 2; ++c) {
-    EXPECT_GE(improved.cluster_size(c), 2u);
-    EXPECT_LE(improved.cluster_size(c), 4u);
-  }
-}
-
 }  // namespace
 }  // namespace specpart::core
