@@ -43,9 +43,10 @@ int main(int argc, char** argv) {
   cli.add_flag("deadline", "0",
                "compute budget in seconds (0 = unlimited); on exhaustion the "
                "best partition found so far is returned");
-  cli.add_flag("threads", "1",
-               "compute-kernel threads (1 = serial reference, 0 = auto: "
-               "$SPECPART_THREADS or hardware concurrency)");
+  cli.add_flag("threads", "0",
+               "compute-kernel threads (0 = auto: $SPECPART_THREADS or "
+               "hardware concurrency, the server's default; 1 = serial "
+               "reference)");
   cli.add_flag("objective", "unnormalized",
                "spectral objective for melo: " + core::objective_model_tokens() +
                    " (normalized = conductance sweep cut)");

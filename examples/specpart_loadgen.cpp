@@ -240,9 +240,9 @@ RunResult run_tcp(const std::vector<service::PartitionRequest>& reqs,
 /// audits the bytes.
 RunResult run_sharded(const std::vector<service::PartitionRequest>& reqs,
                       std::size_t num_shards, std::int64_t kill_at) {
-  service::ShardServerOptions shard_opts;
-  shard_opts.service.num_workers = 2;
-  shard_opts.service.cache.max_bytes = 64ull << 20;
+  service::ServiceOptions shard_opts;
+  shard_opts.num_workers = 2;
+  shard_opts.cache.max_bytes = 64ull << 20;
   std::vector<std::unique_ptr<service::ShardServer>> servers;
   servers.reserve(num_shards);
   for (std::size_t i = 0; i < num_shards; ++i)

@@ -19,7 +19,6 @@
 #include <cstdio>
 #include <iostream>
 
-#include "service/net.h"
 #include "service/router.h"
 #include "service/server.h"
 #include "util/cli.h"
@@ -66,7 +65,6 @@ int main(int argc, char** argv) {
   cli.add_flag("port", "-1",
                "TCP port to listen on (-1 = stdio mode, 0 = kernel-assigned; "
                "the bound port is printed to stderr)");
-  cli.add_flag("once", "false", "TCP mode: exit after the first client");
   cli.add_flag("vnodes", "64", "virtual nodes per shard on the hash ring");
   cli.add_flag("connect-timeout-ms", "250", "per-shard connect deadline");
   cli.add_flag("io-timeout-ms", "30000",
@@ -135,23 +133,11 @@ int main(int argc, char** argv) {
       service::serve_stream(backend, std::cin, std::cout, serve);
       return 0;
     }
-    std::uint16_t bound = 0;
-    const int listen_fd =
-        service::tcp_listen(static_cast<std::uint16_t>(port), &bound);
+    service::TcpServer server(backend, static_cast<std::uint16_t>(port),
+                              serve);
     std::fprintf(stderr, "specpart_router: listening on port %u (%zu shards)\n",
-                 static_cast<unsigned>(bound), router.num_shards());
-    const bool once = cli.get_bool("once");
-    for (;;) {
-      const int conn = service::tcp_accept(listen_fd);
-      service::FdStreamBuf in_buf(conn);
-      service::FdStreamBuf out_buf(conn);
-      std::istream conn_in(&in_buf);
-      std::ostream conn_out(&out_buf);
-      service::serve_stream(backend, conn_in, conn_out, serve);
-      service::fd_close(conn);
-      if (once) break;
-    }
-    service::fd_close(listen_fd);
+                 static_cast<unsigned>(server.port()), router.num_shards());
+    server.wait();
     return 0;
   } catch (const Error& e) {
     std::fprintf(stderr, "specpart_router: %s\n", e.what());

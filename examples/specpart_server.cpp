@@ -2,8 +2,8 @@
 // over stdin/stdout or a TCP port.
 //
 //   $ ./specpart_server                     # stdio: pipe frames in and out
-//   $ ./specpart_server --port 7077        # TCP on 127.0.0.1:7077
-//   $ ./specpart_server --port 0 --once    # kernel-assigned port, one client
+//   $ ./specpart_server --port 7077        # TCP on every IPv4 interface
+//   $ ./specpart_server --port 0           # kernel-assigned port
 //
 // Requests flow through PartitionService's bounded queue and worker pool;
 // responses are written in request order (per connection), so a client can
@@ -12,13 +12,13 @@
 //   METRICS  -> METRICS frame (key/value lines, END-terminated)
 //   QUIT     -> drains, says BYE, closes the connection
 //
-// The serving loop itself lives in service/server.h, shared with
-// specpart_router and the multi-shard tests.
+// TCP connections are served concurrently by the accept loop in
+// service/server.h, shared with specpart_router, the multi-shard loadgen
+// and the tests.
 #include <csignal>
 #include <cstdio>
 #include <iostream>
 
-#include "service/net.h"
 #include "service/server.h"
 #include "service/service.h"
 #include "util/cli.h"
@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
   cli.add_flag("port", "-1",
                "TCP port to listen on (-1 = stdio mode, 0 = kernel-assigned; "
                "the bound port is printed to stderr)");
-  cli.add_flag("once", "false", "TCP mode: exit after the first client");
   cli.add_flag("workers", "2", "worker threads executing requests");
   cli.add_flag("queue", "64", "job-queue capacity (admission control)");
   cli.add_flag("reject", "true",
@@ -83,34 +82,17 @@ int main(int argc, char** argv) {
     serve.reject_when_full = cli.get_bool("reject");
     serve.limits.max_payload_bytes =
         static_cast<std::size_t>(cli.get_int("max-payload-mb")) << 20;
-    const double idle_timeout = cli.get_double("idle-timeout");
 
     const std::int64_t port = cli.get_int("port");
     if (port < 0) {
       service::serve_stream(backend, std::cin, std::cout, serve);
       return 0;
     }
-    std::uint16_t bound = 0;
-    const int listen_fd =
-        service::tcp_listen(static_cast<std::uint16_t>(port), &bound);
+    service::TcpServer server(backend, static_cast<std::uint16_t>(port),
+                              serve, cli.get_double("idle-timeout"));
     std::fprintf(stderr, "specpart_server: listening on port %u\n",
-                 static_cast<unsigned>(bound));
-    const bool once = cli.get_bool("once");
-    for (;;) {
-      const int conn = service::tcp_accept(listen_fd);
-      service::FdStreamBuf in_buf(conn);
-      service::FdStreamBuf out_buf(conn);
-      if (idle_timeout > 0.0)
-        in_buf.set_read_timeout(static_cast<int>(idle_timeout * 1000.0));
-      std::istream conn_in(&in_buf);
-      std::ostream conn_out(&out_buf);
-      service::serve_stream(backend, conn_in, conn_out, serve);
-      if (in_buf.timed_out())
-        std::fprintf(stderr, "specpart_server: closed idle connection\n");
-      service::fd_close(conn);
-      if (once) break;
-    }
-    service::fd_close(listen_fd);
+                 static_cast<unsigned>(server.port()));
+    server.wait();
     return 0;
   } catch (const Error& e) {
     std::fprintf(stderr, "specpart_server: %s\n", e.what());

@@ -169,10 +169,7 @@ bool FdStreamBuf::wait_ready(short events, int timeout_ms) {
 FdStreamBuf::int_type FdStreamBuf::underflow() {
   if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
   for (;;) {
-    if (!wait_ready(POLLIN, read_timeout_ms_)) {
-      timed_out_ = true;
-      return traits_type::eof();
-    }
+    if (!wait_ready(POLLIN, read_timeout_ms_)) return traits_type::eof();
     const ssize_t n = ::read(fd_, rbuf_, kBufSize);
     if (n > 0) {
       setg(rbuf_, rbuf_, rbuf_ + n);
@@ -189,10 +186,7 @@ bool FdStreamBuf::flush_write() {
   // Loop partial transfers: a short send/write must not truncate the
   // frame, and a gone peer must surface as a stream error, not SIGPIPE.
   while (p < pptr()) {
-    if (!wait_ready(POLLOUT, write_timeout_ms_)) {
-      timed_out_ = true;
-      return false;
-    }
+    if (!wait_ready(POLLOUT, write_timeout_ms_)) return false;
     const std::size_t len = static_cast<std::size_t>(pptr() - p);
     ssize_t n;
     if (!not_socket_) {

@@ -19,7 +19,8 @@
 
 namespace specpart::service {
 
-/// Opens a listening IPv4 TCP socket on `port` (0 = kernel-assigned).
+/// Opens a listening TCP socket on `port` (0 = kernel-assigned) on every
+/// IPv4 interface (INADDR_ANY).
 /// Returns the listening fd; *bound_port receives the actual port.
 /// Throws specpart::Error on failure.
 int tcp_listen(std::uint16_t port, std::uint16_t* bound_port = nullptr);
@@ -50,11 +51,11 @@ void fd_shutdown(int fd);
 ///
 /// Deadlines: set_read_timeout / set_write_timeout arm poll-based
 /// deadlines per underlying read/write syscall (milliseconds; < 0 = block
-/// forever, the default). A timed-out read reports EOF to the stream and
-/// sets timed_out(), so `std::getline` on a stalled connection returns
-/// instead of pinning the reader thread. Writes prefer send(MSG_NOSIGNAL)
-/// and fall back to write() on non-socket fds, so a vanished peer yields a
-/// stream error, never SIGPIPE.
+/// forever, the default). A timed-out read reports EOF to the stream, so
+/// `std::getline` on a stalled connection returns instead of pinning the
+/// reader thread. Writes prefer send(MSG_NOSIGNAL) and fall back to
+/// write() on non-socket fds, so a vanished peer yields a stream error,
+/// never SIGPIPE.
 class FdStreamBuf : public std::streambuf {
  public:
   explicit FdStreamBuf(int fd);
@@ -63,8 +64,6 @@ class FdStreamBuf : public std::streambuf {
   void set_read_timeout(int ms) { read_timeout_ms_ = ms; }
   /// Per-syscall write deadline in ms (< 0 = block forever).
   void set_write_timeout(int ms) { write_timeout_ms_ = ms; }
-  /// True once a read or write deadline expired on this buffer.
-  bool timed_out() const { return timed_out_; }
 
  protected:
   int_type underflow() override;
@@ -81,7 +80,6 @@ class FdStreamBuf : public std::streambuf {
   int fd_;
   int read_timeout_ms_ = -1;
   int write_timeout_ms_ = -1;
-  bool timed_out_ = false;
   /// Latched after send() reports ENOTSOCK (pipes, stdio); writes then use
   /// write(), relying on the caller ignoring SIGPIPE for those fds.
   bool not_socket_ = false;

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <charconv>
 #include <istream>
+#include <new>
 #include <ostream>
 #include <sstream>
 
 #include "graph/netlist_io.h"
 #include "util/error.h"
+#include "util/fault.h"
 #include "util/stringutil.h"
 
 namespace specpart::service {
@@ -232,6 +234,7 @@ PartitionRequest parse_request(const std::string& header_line,
     throw Error(strprintf(
         "bad_request: .hgr header declares %zu nets in a %zu-line payload",
         hgr.num_nets, graph_lines));
+  if (SP_FAULT("service.decode_bad_alloc")) throw std::bad_alloc();
   req.graph = graph::read_hgr(std::string_view(payload));
   expect_end_line(in, "REQUEST");
   return req;

@@ -3,8 +3,10 @@
 #include <condition_variable>
 #include <deque>
 #include <istream>
+#include <new>
 #include <ostream>
 #include <string>
+#include <system_error>
 #include <utility>
 
 #include "service/net.h"
@@ -104,12 +106,21 @@ void serve_stream(StreamBackend& backend, std::istream& in, std::ostream& out,
     }
   });
 
-  std::string line;
-  bool failed = false;
-  while (!failed && std::getline(in, line)) {
-    const std::string_view stripped = trim(line);
-    if (stripped.empty()) continue;
-    try {
+  const auto push_error = [&](std::string error) {
+    Item item;
+    item.kind = Item::kReady;
+    item.response.id = "?";
+    item.response.status = "error";
+    item.response.error = std::move(error);
+    push(std::move(item));
+  };
+  // A malformed frame poisons the rest of the stream (framing is lost), so
+  // every failure below reports and stops this connection.
+  try {
+    std::string line;
+    while (std::getline(in, line)) {
+      const std::string_view stripped = trim(line);
+      if (stripped.empty()) continue;
       if (starts_with(stripped, "REQUEST")) {
         PartitionRequest req = parse_request(line, in, opts.limits);
         Item item;
@@ -141,101 +152,126 @@ void serve_stream(StreamBackend& backend, std::istream& in, std::ostream& out,
       } else {
         throw Error("unknown frame '" + std::string(stripped) + "'");
       }
-    } catch (const Error& e) {
-      // A malformed frame poisons the rest of the stream (framing is
-      // lost), so report and stop this connection. Every parse-level
-      // failure — truncated payload, oversized payload, garbage frame —
-      // is surfaced under the one structured bad_request token.
-      Item item;
-      item.kind = Item::kReady;
-      item.response.id = "?";
-      item.response.status = "error";
-      item.response.error = starts_with(e.what(), "bad_request")
-                                ? e.what()
-                                : std::string("bad_request: ") + e.what();
-      push(std::move(item));
-      failed = true;
     }
+  } catch (const Error& e) {
+    // Every parse-level failure (truncated payload, oversized payload,
+    // garbage frame) is surfaced under the one structured bad_request
+    // token.
+    push_error(starts_with(e.what(), "bad_request")
+                   ? e.what()
+                   : std::string("bad_request: ") + e.what());
+  } catch (const std::bad_alloc&) {
+    // A frame whose decode (or line) outgrew memory: the memory is back,
+    // so answer and close this connection instead of the process.
+    push_error("out_of_memory: the server could not allocate the request");
   }
   push(Item{Item::kBye, {}, {}});
   writer.join();
 }
 
-ShardServer::ShardServer(ShardServerOptions opts)
-    : opts_(std::move(opts)), svc_(opts_.service) {
-  listen_fd_ = tcp_listen(0, &port_);
+TcpServer::TcpServer(StreamBackend& backend, std::uint16_t port,
+                     ServeOptions serve, double idle_timeout_seconds)
+    : backend_(backend),
+      serve_(std::move(serve)),
+      idle_timeout_seconds_(idle_timeout_seconds) {
+  listen_fd_ = tcp_listen(port, &port_);
   accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
-ShardServer::~ShardServer() { stop(); }
+TcpServer::~TcpServer() { stop(); }
 
-void ShardServer::accept_loop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
+void TcpServer::accept_loop() {
+  for (;;) {
+    std::size_t slot = 0;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      slot_freed_.wait(lock, [this, &slot] {
+        if (stopping_) return true;
+        for (slot = 0; slot < kMaxConnections; ++slot)
+          if (slots_[slot].fd < 0) return true;
+        return false;
+      });
+      if (stopping_) return;
+    }
+    // The slot's previous connection thread has released its fd; join it
+    // before the slot takes the next connection.
+    if (slots_[slot].thread.joinable()) slots_[slot].thread.join();
     int fd = -1;
     try {
       fd = tcp_accept(listen_fd_);
-    } catch (const Error&) {
-      // Listener shut down (stop()/kill()) or otherwise dead: done.
+    } catch (const Error& e) {
+      // stop()/kill() shut the listener down; anything else is a failure
+      // wait() reports.
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (!stopping_) accept_error_ = e.what();
       return;
     }
-    std::lock_guard<std::mutex> lock(conn_mutex_);
-    if (stopping_.load(std::memory_order_relaxed)) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (stopping_) {
       // Lost the race with kill(): this fd was accepted after the sever
       // pass, so sever it ourselves instead of serving it.
       fd_shutdown(fd);
       fd_close(fd);
       return;
     }
-    const std::size_t slot = conn_fds_.size();
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back(
-        [this, fd, slot] { serve_connection(fd, slot); });
+    slots_[slot].fd = fd;
+    try {
+      slots_[slot].thread =
+          std::thread([this, slot, fd] { serve_connection(slot, fd); });
+    } catch (const std::system_error&) {
+      // No thread to serve it: refuse this connection, keep the server.
+      slots_[slot].fd = -1;
+      fd_close(fd);
+    }
   }
 }
 
-void ShardServer::serve_connection(int fd, std::size_t slot) {
+void TcpServer::serve_connection(std::size_t slot, int fd) {
   {
     FdStreamBuf in_buf(fd);
     FdStreamBuf out_buf(fd);
-    if (opts_.idle_timeout_seconds > 0.0)
+    if (idle_timeout_seconds_ > 0.0)
       in_buf.set_read_timeout(
-          static_cast<int>(opts_.idle_timeout_seconds * 1000.0));
+          static_cast<int>(idle_timeout_seconds_ * 1000.0));
     std::istream in(&in_buf);
     std::ostream out(&out_buf);
-    ServiceBackend backend(svc_);
     try {
-      serve_stream(backend, in, out, opts_.serve);
-    } catch (const Error&) {
-      // Connection-level failure; drop the connection, keep the server.
+      serve_stream(backend_, in, out, serve_);
+    } catch (const std::exception&) {
+      // Connection-level failure (its writer thread could not start, an
+      // allocation failed); drop the connection, keep the server.
     }
   }
-  // Deregister before closing so kill() can never shut down a recycled
-  // fd number.
   {
-    std::lock_guard<std::mutex> lock(conn_mutex_);
-    conn_fds_[slot] = -1;
+    std::lock_guard<std::mutex> lock(mutex_);
+    slots_[slot].fd = -1;
   }
+  slot_freed_.notify_one();
   fd_close(fd);
 }
 
-void ShardServer::kill() {
-  stopping_.store(true, std::memory_order_relaxed);
-  fd_shutdown(listen_fd_);
-  std::lock_guard<std::mutex> lock(conn_mutex_);
-  for (const int fd : conn_fds_)
-    if (fd >= 0) fd_shutdown(fd);
+void TcpServer::wait() {
+  if (accept_thread_.joinable()) accept_thread_.join();
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!accept_error_.empty()) throw Error(accept_error_);
 }
 
-void ShardServer::stop() {
+void TcpServer::kill() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
+    fd_shutdown(listen_fd_);
+    for (const Slot& s : slots_) fd_shutdown(s.fd);
+  }
+  slot_freed_.notify_all();
+}
+
+void TcpServer::stop() {
   kill();
   if (accept_thread_.joinable()) accept_thread_.join();
-  // No new connection threads can appear now; join what's left.
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conn_mutex_);
-    threads.swap(conn_threads_);
-  }
-  for (std::thread& t : threads) t.join();
+  // No connection can start now; join the ones still running.
+  for (Slot& s : slots_)
+    if (s.thread.joinable()) s.thread.join();
   fd_close(listen_fd_);
   listen_fd_ = -1;
 }

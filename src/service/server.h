@@ -1,6 +1,5 @@
-// The reusable serving loop behind specpart_server and specpart_router,
-// plus an in-process TCP shard server for tests and the multi-shard
-// loadgen.
+// The serving loop behind specpart_server, specpart_router, the
+// multi-shard loadgen and the tests.
 //
 // serve_stream() speaks the wire protocol (protocol.h) over any iostream
 // pair: REQUEST frames are admitted through a StreamBackend, control lines
@@ -10,21 +9,24 @@
 // structured `bad_request:` error response before the connection closes
 // (framing is lost after garbage, so closing is the only safe move).
 //
-// ShardServer binds a PartitionService to a kernel-assigned TCP port with
-// an accept loop, one serve_stream per connection. kill() is the
+// TcpServer runs the accept loop: it serves one StreamBackend on a port,
+// one serve_stream per connection on its own thread, up to
+// kMaxConnections at once, and joins each finished connection thread when
+// its slot takes the next connection. ShardServer is a PartitionService
+// behind a TcpServer on a kernel-assigned port. kill() is the
 // fault-injection hammer: it severs the listener AND every active
 // connection without draining, exactly what a crashed shard looks like to
 // a router.
 #pragma once
 
-#include <atomic>
+#include <array>
+#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <iosfwd>
-#include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
-#include <vector>
 
 #include "service/protocol.h"
 #include "service/service.h"
@@ -95,29 +97,33 @@ void serve_stream(StreamBackend& backend, std::istream& in, std::ostream& out,
 /// Renders a METRICS control frame (METRIC key value lines + END).
 void write_metrics_frame(const MetricsSnapshot& snap, std::ostream& out);
 
-struct ShardServerOptions {
-  ServiceOptions service;
-  ServeOptions serve;
-  /// Per-connection idle read deadline in seconds (0 = none): a client
-  /// that stalls mid-stream for longer has its connection closed and its
-  /// reader thread released.
-  double idle_timeout_seconds = 0.0;
-};
-
-/// An in-process specpart_server: PartitionService + TCP accept loop on a
-/// kernel-assigned port. Used by the multi-shard loadgen and the router
-/// tests; the standalone binary wires the same pieces by hand for stdio
-/// support.
-class ShardServer {
+/// The TCP accept loop: serves `backend` on a port, one serve_stream per
+/// connection, each on its own thread.
+class TcpServer {
  public:
-  explicit ShardServer(ShardServerOptions opts = {});
-  ~ShardServer();
+  /// Connections served at once. The loop accepts only while a slot is
+  /// free, so a connection past the cap waits in the listen backlog and
+  /// starts no thread; a served one holds two (serve_stream's reader and
+  /// writer).
+  static constexpr std::size_t kMaxConnections = 64;
 
-  ShardServer(const ShardServer&) = delete;
-  ShardServer& operator=(const ShardServer&) = delete;
+  /// Listens on every IPv4 interface at `port` (0 = kernel-assigned) and
+  /// starts accepting. `idle_timeout_seconds` > 0 closes a connection that
+  /// sends no byte for that long, releasing its threads. Throws
+  /// specpart::Error when the port cannot be bound.
+  TcpServer(StreamBackend& backend, std::uint16_t port,
+            ServeOptions serve = {}, double idle_timeout_seconds = 0.0);
+  ~TcpServer();
+
+  TcpServer(const TcpServer&) = delete;
+  TcpServer& operator=(const TcpServer&) = delete;
 
   std::uint16_t port() const { return port_; }
-  PartitionService& service() { return svc_; }
+
+  /// Blocks until the accept loop ends; throws specpart::Error when it
+  /// ended because the listener failed rather than by stop() or kill().
+  /// Not to be called concurrently with stop().
+  void wait();
 
   /// Graceful stop: stops accepting, severs remaining connections, joins.
   void stop();
@@ -128,22 +134,52 @@ class ShardServer {
   void kill();
 
  private:
-  void accept_loop();
-  void serve_connection(int fd, std::size_t slot);
+  struct Slot {
+    /// The connection fd while its thread serves it; -1 once that thread
+    /// is done with (and about to close) it, so kill() can never shut
+    /// down a recycled fd number.
+    int fd = -1;
+    /// The slot's latest connection thread, joined by the accept loop
+    /// before the slot takes the next connection.
+    std::thread thread;
+  };
 
-  ShardServerOptions opts_;
-  PartitionService svc_;
+  void accept_loop();
+  void serve_connection(std::size_t slot, int fd);
+
+  StreamBackend& backend_;
+  const ServeOptions serve_;
+  const double idle_timeout_seconds_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
-  std::atomic<bool> stopping_{false};
 
-  std::mutex conn_mutex_;
-  /// Active connection fds by slot; -1 once the serving thread is done
-  /// with (and has closed) the fd. Append-only, so kill() can sever every
-  /// live connection without racing fd reuse.
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
+  std::mutex mutex_;
+  /// Signalled when a slot frees up or stopping_ is set.
+  std::condition_variable slot_freed_;
+  bool stopping_ = false;
+  /// Why the accept loop ended, when the listener failed.
+  std::string accept_error_;
+  /// Slot fds are guarded by mutex_; slot threads belong to the accept
+  /// loop, and to stop() once the loop has ended.
+  std::array<Slot, kMaxConnections> slots_;
   std::thread accept_thread_;
+};
+
+/// An in-process specpart_server: a PartitionService behind a TcpServer on
+/// a kernel-assigned port. Used by the multi-shard loadgen and the tests.
+class ShardServer {
+ public:
+  explicit ShardServer(ServiceOptions opts = {})
+      : svc_(opts), backend_(svc_), server_(backend_, 0) {}
+
+  std::uint16_t port() const { return server_.port(); }
+  void stop() { server_.stop(); }
+  void kill() { server_.kill(); }
+
+ private:
+  PartitionService svc_;
+  ServiceBackend backend_;
+  TcpServer server_;
 };
 
 }  // namespace specpart::service

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <new>
 
 #include "core/drivers.h"
 #include "part/objectives.h"
 #include "util/budget.h"
 #include "util/error.h"
+#include "util/fault.h"
 #include "util/status.h"
 
 namespace specpart::service {
@@ -132,6 +134,7 @@ PartitionResponse PartitionService::execute_internal(
       m.budget = &budget;
     }
     m.embedding_provider = cache_.provider();
+    if (SP_FAULT("service.solve_bad_alloc")) throw std::bad_alloc();
 
     if (req.k == 2) {
       const core::MeloBipartitionResult r =
@@ -167,6 +170,12 @@ PartitionResponse PartitionService::execute_internal(
   } catch (const Error& e) {
     resp.status = "error";
     resp.error = e.what();
+    resp.assignment.clear();
+  } catch (const std::bad_alloc&) {
+    // The solve's memory is released by the unwind, so one oversized
+    // request fails alone instead of terminating the server.
+    resp.status = "error";
+    resp.error = "out_of_memory: the server could not allocate the solve";
     resp.assignment.clear();
   }
   return resp;

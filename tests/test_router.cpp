@@ -1,13 +1,17 @@
 // Tests for the fault-tolerant serving tier: consistent-hash ring,
 // content-based routing keys, backoff policy, the ShardClient circuit
 // breaker (driven both by real dead ports and by the net.* fault domain),
-// ring failover with a shard killed mid-run, and the cross-shard
-// byte-identity guarantee.
+// ring failover with a shard killed mid-run, the cross-shard
+// byte-identity guarantee, and the TCP accept loop the binaries share.
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <pthread.h>
 
 #include <chrono>
 #include <cmath>
 #include <csignal>
+#include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -15,6 +19,7 @@
 
 #include "graph/generator.h"
 #include "service/client.h"
+#include "service/net.h"
 #include "service/protocol.h"
 #include "service/router.h"
 #include "service/server.h"
@@ -393,10 +398,10 @@ TEST(ShardRouter, HealthPingClosesOpenBreaker) {
   server.stop();
 }
 
-TEST(ShardServer, IdleTimeoutReleasesStalledConnections) {
-  ShardServerOptions opts;
-  opts.idle_timeout_seconds = 0.1;
-  ShardServer server(opts);
+TEST(TcpServer, IdleTimeoutReleasesStalledConnections) {
+  PartitionService svc;
+  ServiceBackend backend(svc);
+  TcpServer server(backend, 0, {}, 0.1);
   const int fd = tcp_connect("127.0.0.1", server.port());
   FdStreamBuf in_buf(fd);
   std::istream in(&in_buf);
@@ -411,6 +416,168 @@ TEST(ShardServer, IdleTimeoutReleasesStalledConnections) {
   EXPECT_LT(waited, 5.0);  // closed by the idle deadline, not by stop()
   fd_close(fd);
   server.stop();
+}
+
+/// One client connection speaking the wire protocol.
+class Client {
+ public:
+  explicit Client(std::uint16_t port)
+      : fd_(tcp_connect("127.0.0.1", port)),
+        in_buf_(fd_),
+        out_buf_(fd_),
+        in_(&in_buf_),
+        out_(&out_buf_) {}
+  ~Client() { fd_close(fd_); }
+  Client(const Client&) = delete;
+  Client& operator=(const Client&) = delete;
+
+  void send(const std::string& frames) {
+    out_ << frames;
+    out_.flush();
+  }
+  std::string line() {
+    std::string l;
+    std::getline(in_, l);
+    return l;
+  }
+  std::string response() {
+    const std::optional<PartitionResponse> resp = read_response(in_);
+    return resp ? wire(*resp) : "<closed>";
+  }
+  /// The lines of one METRICS frame, END included.
+  std::string metrics_frame() {
+    std::string frame;
+    for (std::string l = line(); !l.empty(); l = line()) {
+      frame += l + '\n';
+      if (l == "END") break;
+    }
+    return frame;
+  }
+  /// True when the server sends a byte within `ms` milliseconds.
+  bool answers_within(int ms) {
+    pollfd p{};
+    p.fd = fd_;
+    p.events = POLLIN;
+    return ::poll(&p, 1, ms) > 0;
+  }
+
+ private:
+  int fd_;
+  FdStreamBuf in_buf_;
+  FdStreamBuf out_buf_;
+  std::istream in_;
+  std::ostream out_;
+};
+
+std::string frame_of(const PartitionRequest& req) {
+  std::ostringstream out;
+  write_request(req, out);
+  return out.str();
+}
+
+TEST(TcpServer, RouterServesTwoConnectedClientsWithLocalBytes) {
+  std::vector<std::unique_ptr<ShardServer>> shards;
+  RouterOptions opts;
+  for (int i = 0; i < 2; ++i) {
+    shards.push_back(std::make_unique<ShardServer>());
+    opts.shards.push_back(fast_opts(shards.back()->port()));
+  }
+  ShardRouter router(opts);
+  RouterBackend backend(router);
+  TcpServer server(backend, 0);
+  PartitionService local;
+
+  // Both clients connect before either sends, and each has a request in
+  // flight while the other is served.
+  Client a(server.port());
+  Client b(server.port());
+  const PartitionRequest reqs[] = {make_request(7), make_request(11),
+                                   make_request(13), make_request(17)};
+  a.send(frame_of(reqs[0]));
+  b.send(frame_of(reqs[1]));
+  EXPECT_EQ(b.response(), wire(local.execute(reqs[1])));
+  b.send(frame_of(reqs[2]));
+  EXPECT_EQ(a.response(), wire(local.execute(reqs[0])));
+  a.send(frame_of(reqs[3]));
+  EXPECT_EQ(a.response(), wire(local.execute(reqs[3])));
+  EXPECT_EQ(b.response(), wire(local.execute(reqs[2])));
+
+  // With both still connected, METRICS carries the router section.
+  b.send("METRICS\n");
+  const std::string metrics = b.metrics_frame();
+  EXPECT_NE(metrics.find("\nMETRIC router_requests 4\n"), std::string::npos)
+      << metrics;
+  EXPECT_NE(metrics.find("\nMETRIC router_shards_live 2\n"),
+            std::string::npos)
+      << metrics;
+  a.send("PING\n");
+  EXPECT_EQ(a.line(), "PONG");
+
+  // The router keeps its shard connections open; an operator's METRICS
+  // to a shard is still answered.
+  for (const std::unique_ptr<ShardServer>& shard : shards) {
+    Client op(shard->port());
+    op.send("METRICS\n");
+    EXPECT_NE(op.metrics_frame().find("\nMETRIC requests_total "),
+              std::string::npos);
+  }
+  std::uint64_t shard_requests = 0;
+  for (std::size_t i = 0; i < router.num_shards(); ++i)
+    shard_requests += router.shard(i).stats().requests;
+  EXPECT_EQ(shard_requests, 4u);
+}
+
+TEST(TcpServer, ConnectionPastTheCapWaitsForAFreeSlot) {
+  ShardServer server;
+  std::vector<std::unique_ptr<Client>> held;
+  for (std::size_t i = 0; i < TcpServer::kMaxConnections; ++i) {
+    held.push_back(std::make_unique<Client>(server.port()));
+    held.back()->send("PING\n");
+    // Served while every earlier client stays connected and idle.
+    ASSERT_EQ(held.back()->line(), "PONG") << "client " << i;
+  }
+  // The kernel completes this connect into the listen backlog, but no
+  // slot is free, so nothing reads it.
+  Client extra(server.port());
+  extra.send("PING\n");
+  EXPECT_FALSE(extra.answers_within(300));
+  held.front().reset();
+  EXPECT_TRUE(extra.answers_within(10000));
+  EXPECT_EQ(extra.line(), "PONG");
+}
+
+/// This process's mapped virtual memory in bytes (0 when unknown).
+std::size_t vm_size_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmSize:", 0) == 0)
+      return std::stoull(line.substr(7)) << 10;
+  return 0;
+}
+
+TEST(TcpServer, FinishedConnectionThreadsAreJoinedWhileServing) {
+  ShardServer server;
+  const auto ping_and_quit = [&server] {
+    Client c(server.port());
+    c.send("PING\nQUIT\n");
+    EXPECT_EQ(c.line(), "PONG");
+    EXPECT_EQ(c.line(), "BYE");
+  };
+  for (int i = 0; i < 10; ++i) ping_and_quit();
+  const std::size_t before = vm_size_bytes();
+  if (before == 0) GTEST_SKIP() << "no VmSize in /proc/self/status";
+  for (int i = 0; i < 200; ++i) ping_and_quit();
+  // A finished thread keeps its stack mapped until it is joined: 200
+  // unjoined connection threads map 200 stacks. The loop joins each when
+  // its slot takes the next connection, so sequential clients reuse one
+  // or two.
+  pthread_attr_t attr;
+  std::size_t stack = 0;
+  pthread_attr_init(&attr);
+  pthread_attr_getstacksize(&attr, &stack);
+  pthread_attr_destroy(&attr);
+  EXPECT_LT(vm_size_bytes(), before + 50 * stack);
 }
 
 TEST(Metrics, RouterSectionOnlyPresentForRouters) {

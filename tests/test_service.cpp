@@ -22,6 +22,7 @@
 #include "service/server.h"
 #include "service/service.h"
 #include "util/error.h"
+#include "util/fault.h"
 #include "util/hashing.h"
 #include "util/simd.h"
 #include "util/stringutil.h"
@@ -875,16 +876,22 @@ TEST(Protocol, DefaultLimitsAdmitNormalRequests) {
   EXPECT_EQ(parsed->graph.num_nodes(), req.graph.num_nodes());
 }
 
-/// Runs one client script through the shared serving loop and returns the
-/// server's byte output.
-std::string serve_script(const std::string& script,
-                         const ServeOptions& opts = {}) {
-  PartitionService svc;
-  ServiceBackend backend(svc);
+/// Runs one client script through the shared serving loop over `backend`
+/// and returns the server's byte output.
+std::string serve_on(StreamBackend& backend, const std::string& script,
+                     const ServeOptions& opts = {}) {
   std::istringstream in(script);
   std::ostringstream out;
   serve_stream(backend, in, out, opts);
   return out.str();
+}
+
+/// serve_on over a fresh service.
+std::string serve_script(const std::string& script,
+                         const ServeOptions& opts = {}) {
+  PartitionService svc;
+  ServiceBackend backend(svc);
+  return serve_on(backend, script, opts);
 }
 
 TEST(ServeStream, GarbageFrameGetsStructuredBadRequestThenCloses) {
@@ -924,6 +931,56 @@ TEST(ServeStream, ValidFramesStillFlowAfterHardening) {
   EXPECT_NE(out.find(expected.str()), std::string::npos);
   EXPECT_NE(out.find("PONG\n"), std::string::npos);
   EXPECT_NE(out.find("BYE\n"), std::string::npos);
+}
+
+constexpr bool kFaultsCompiled =
+#ifdef SPECPART_FAULT_INJECTION
+    true;
+#else
+    false;
+#endif
+
+TEST(ServeStream, FailedSolveAllocationIsAnErrorResponseAndServingGoesOn) {
+  if (!kFaultsCompiled) GTEST_SKIP() << "fault injection compiled out";
+  fault::ScopedFaults guard;
+  const PartitionRequest req = make_request();
+  std::ostringstream frame;
+  write_request(req, frame);
+  PartitionService svc;
+  ServiceBackend backend(svc);
+
+  // The request's own response is the error; the connection carries on.
+  fault::arm("service.solve_bad_alloc", 1);
+  EXPECT_EQ(serve_on(backend, frame.str() + "PING\n"),
+            "RESPONSE id=t status=error error=out_of_memory: the server "
+            "could not allocate the solve\nEND\nPONG\nBYE\n");
+  EXPECT_EQ(fault::triggered("service.solve_bad_alloc"), 1u);
+  // The same service answers the same request afterwards.
+  PartitionService reference;
+  EXPECT_EQ(serve_on(backend, frame.str()), wire(reference.execute(req)) +
+                                                "BYE\n");
+}
+
+TEST(ServeStream, FailedDecodeAllocationIsAnErrorResponseThenCloses) {
+  if (!kFaultsCompiled) GTEST_SKIP() << "fault injection compiled out";
+  fault::ScopedFaults guard;
+  const PartitionRequest req = make_request();
+  std::ostringstream frame;
+  write_request(req, frame);
+  PartitionService svc;
+  ServiceBackend backend(svc);
+
+  // Like any frame that fails to parse, it closes the connection: the
+  // PING behind it is not answered.
+  fault::arm("service.decode_bad_alloc", 1);
+  EXPECT_EQ(serve_on(backend, frame.str() + "PING\n"),
+            "RESPONSE id=? status=error error=out_of_memory: the server "
+            "could not allocate the request\nEND\nBYE\n");
+  EXPECT_EQ(fault::triggered("service.decode_bad_alloc"), 1u);
+  // The next connection is served.
+  PartitionService reference;
+  EXPECT_EQ(serve_on(backend, frame.str() + "PING\n"),
+            wire(reference.execute(req)) + "PONG\nBYE\n");
 }
 
 TEST(Protocol, JsonMirrorsResponseFields) {
