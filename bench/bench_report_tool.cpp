@@ -1,10 +1,10 @@
-// bench_report_tool: times the parallel compute kernels at 1 thread (the
-// serial reference) and at an oversubscribed thread count, and writes the
-// results as JSON. The `bench_report` CMake target runs the two
-// google-benchmark binaries for human-readable output and then this tool to
-// refresh BENCH_kernels.json, the committed trajectory baseline.
+// bench_report_tool: the kernel microbenchmark. Times the parallel compute
+// kernels at 1 thread (the serial reference) and at an oversubscribed
+// thread count, and writes the results as JSON: BENCH_kernels.json, the
+// committed trajectory baseline. `--smoke true` runs reduced sizes and
+// fails unless every counter field is live; point its --out elsewhere.
 //
-//   $ ./bench_report_tool --out BENCH_kernels.json [--scale 1.0] [--threads 8]
+//   $ ./build/bench/bench_report_tool --out BENCH_kernels.json [--scale 1.0] [--threads 8]
 //
 // On a single-core host the "parallel" numbers measure pure threading
 // overhead (speedup <= 1.0 is expected); the host core count (the CPUs

@@ -124,17 +124,17 @@ int main(int argc, char** argv) {
     service::ShardRouter router(opts);
     service::RouterBackend backend(router);
 
-    service::ServeOptions serve;
-    serve.limits.max_payload_bytes =
+    service::ProtocolLimits limits;
+    limits.max_payload_bytes =
         static_cast<std::size_t>(cli.get_int("max-payload-mb")) << 20;
 
     const std::int64_t port = cli.get_int("port");
     if (port < 0) {
-      service::serve_stream(backend, std::cin, std::cout, serve);
+      service::serve_stream(backend, std::cin, std::cout, limits);
       return 0;
     }
     service::TcpServer server(backend, static_cast<std::uint16_t>(port),
-                              serve);
+                              limits);
     std::fprintf(stderr, "specpart_router: listening on port %u (%zu shards)\n",
                  static_cast<unsigned>(server.port()), router.num_shards());
     server.wait();

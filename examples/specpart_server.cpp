@@ -38,9 +38,6 @@ int main(int argc, char** argv) {
                "the bound port is printed to stderr)");
   cli.add_flag("workers", "2", "worker threads executing requests");
   cli.add_flag("queue", "64", "job-queue capacity (admission control)");
-  cli.add_flag("reject", "true",
-               "true: reject requests when the queue is full (error "
-               "response); false: block the reader (backpressure)");
   cli.add_flag("cache-mb", "256",
                "embedding-cache byte budget in MiB (0 stores nothing)");
   cli.add_flag("quantum", "8",
@@ -78,18 +75,17 @@ int main(int argc, char** argv) {
     service::PartitionService svc(opts);
     service::ServiceBackend backend(svc);
 
-    service::ServeOptions serve;
-    serve.reject_when_full = cli.get_bool("reject");
-    serve.limits.max_payload_bytes =
+    service::ProtocolLimits limits;
+    limits.max_payload_bytes =
         static_cast<std::size_t>(cli.get_int("max-payload-mb")) << 20;
 
     const std::int64_t port = cli.get_int("port");
     if (port < 0) {
-      service::serve_stream(backend, std::cin, std::cout, serve);
+      service::serve_stream(backend, std::cin, std::cout, limits);
       return 0;
     }
     service::TcpServer server(backend, static_cast<std::uint16_t>(port),
-                              serve, cli.get_double("idle-timeout"));
+                              limits, cli.get_double("idle-timeout"));
     std::fprintf(stderr, "specpart_server: listening on port %u\n",
                  static_cast<unsigned>(server.port()));
     server.wait();

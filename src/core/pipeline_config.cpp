@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "util/error.h"
+#include "util/stringutil.h"
 
 namespace specpart::core {
 
@@ -93,8 +94,8 @@ E parse_token(const TokenEntry<E> (&table)[N], std::string_view token,
               const char* what, const std::string& accepted) {
   for (const TokenEntry<E>& entry : table)
     if (entry.token == token) return entry.value;
-  throw Error("unknown " + std::string(what) + " '" + std::string(token) +
-              "' (expected " + accepted + ")");
+  throw Error("unknown " + std::string(what) + " " + quote_prefix(token) +
+              " (expected " + accepted + ")");
 }
 
 }  // namespace

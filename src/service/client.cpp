@@ -30,18 +30,6 @@ double BackoffPolicy::delay_ms(std::size_t attempt, std::uint64_t salt) const {
   return capped * (0.5 + 0.5 * unit);
 }
 
-const char* shard_state_token(ShardState s) {
-  switch (s) {
-    case ShardState::kClosed:
-      return "closed";
-    case ShardState::kOpen:
-      return "open";
-    case ShardState::kHalfOpen:
-      return "half_open";
-  }
-  return "?";
-}
-
 ShardClient::ShardClient(ShardClientOptions opts) : opts_(std::move(opts)) {}
 
 ShardClient::~ShardClient() {
@@ -223,15 +211,15 @@ bool ShardClient::ping() {
   if (!out.good()) return fail();
   if (SP_FAULT("net.slow_shard")) return fail();
   std::istream in(rbuf_.get());
-  std::string line;
-  while (std::getline(in, line)) {
-    if (trim(line).empty()) continue;
-    if (trim(line) == "PONG") {
+  try {
+    const std::optional<std::string> line = next_content_line(in);
+    if (line && trim(*line) == "PONG") {
       on_success_locked();
       ++stats_.pings_ok;
       return true;
     }
-    break;  // anything else on the wire: framing is gone
+  } catch (const Error&) {
+    // An overlong line; like anything else on the wire, framing is gone.
   }
   return fail();
 }

@@ -63,10 +63,8 @@ struct CircuitBreakerOptions {
   double cooldown_seconds = 1.0;
 };
 
+/// METRICS renders the state as its value.
 enum class ShardState { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
-
-/// Stable token: "closed" | "open" | "half_open".
-const char* shard_state_token(ShardState s);
 
 struct ShardClientOptions {
   std::string host = "127.0.0.1";

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <charconv>
+#include <climits>
 #include <istream>
 #include <new>
 #include <ostream>
 #include <sstream>
+#include <streambuf>
 
 #include "graph/netlist_io.h"
 #include "util/error.h"
@@ -23,15 +25,15 @@ std::vector<std::pair<std::string, std::string>> parse_header_fields(
   std::vector<std::pair<std::string, std::string>> fields;
   std::string_view rest = trim(line);
   SP_CHECK_INPUT(starts_with(rest, verb),
-                 "protocol: expected " + std::string(verb) + " line, got '" +
-                     std::string(line) + "'");
+                 "protocol: expected " + std::string(verb) + " line, got " +
+                     quote_prefix(line));
   rest.remove_prefix(verb.size());
   while (true) {
     rest = trim(rest);
     if (rest.empty()) break;
     const std::size_t eq = rest.find('=');
     SP_CHECK_INPUT(eq != std::string_view::npos && eq > 0,
-                   "protocol: malformed field in '" + std::string(line) + "'");
+                   "protocol: malformed field in " + quote_prefix(line));
     const std::string key(rest.substr(0, eq));
     rest.remove_prefix(eq + 1);
     if (key == "error") {  // free-text tail
@@ -62,8 +64,8 @@ std::uint32_t parse_u32_field(const std::string& value, const char* what,
 bool parse_bool_field(const std::string& value, const std::string& key) {
   if (value == "1") return true;
   if (value == "0") return false;
-  throw Error("protocol: field " + key + " must be 0 or 1, got '" + value +
-              "'");
+  throw Error("protocol: field " + key + " must be 0 or 1, got " +
+              quote_prefix(value));
 }
 
 /// Parses an enum-token field with `parse` (one of the core::parse_*
@@ -78,28 +80,97 @@ auto parse_enum_field(Parse parse, const std::string& value) {
   }
 }
 
-void expect_end_line(std::istream& in, std::string_view frame) {
-  std::string line;
-  while (std::getline(in, line)) {
-    if (trim(line).empty()) continue;
-    SP_CHECK_INPUT(trim(line) == "END",
-                   "protocol: expected END after " + std::string(frame) +
-                       ", got '" + line + "'");
-    return;
+enum class LineRead { kLine, kEof, kTooLong };
+
+/// The get area of any std::streambuf. It is protected, but member
+/// pointers named through a derived class reach it on every streambuf
+/// ([class.protected]), so append_line can scan it as std::getline does.
+struct GetArea : std::streambuf {
+  /// The buffered bytes, at most INT_MAX of them (gbump takes an int).
+  static std::string_view of(std::streambuf& b) {
+    const char* next = (b.*&GetArea::gptr)();
+    const auto size = static_cast<std::size_t>((b.*&GetArea::egptr)() - next);
+    return {next, std::min<std::size_t>(size, INT_MAX)};
   }
-  throw Error("protocol: stream ended before END of " + std::string(frame));
+  static void consume(std::streambuf& b, std::size_t n) {
+    (b.*&GetArea::gbump)(static_cast<int>(n));
+  }
+};
+
+/// Appends the next line of `in` to `out`, newline consumed but not
+/// stored, at std::getline's cost: a memchr over the buffered bytes. A
+/// line longer than `max_bytes` is kTooLong, with `out` holding max_bytes
+/// of it and the rest unread.
+LineRead append_line(std::istream& in, std::string& out,
+                     std::size_t max_bytes) {
+  if (!in.good()) return LineRead::kEof;
+  std::streambuf& buf = *in.rdbuf();
+  std::size_t room = max_bytes;
+  for (;;) {
+    const int c = buf.sgetc();  // refills an empty get area
+    if (c == std::char_traits<char>::eof()) {
+      in.setstate(std::ios::eofbit);
+      return room == max_bytes ? LineRead::kEof : LineRead::kLine;
+    }
+    const std::string_view area = GetArea::of(buf);
+    if (area.empty()) {
+      // An unbuffered streambuf (std::cin synced with stdio) has no get
+      // area and yields one byte at a time.
+      if (c == '\n') {
+        buf.sbumpc();
+        return LineRead::kLine;
+      }
+      if (room == 0) return LineRead::kTooLong;
+      out.push_back(static_cast<char>(c));
+      --room;
+      buf.sbumpc();
+      continue;
+    }
+    const std::size_t newline = area.find('\n');
+    const std::string_view part = area.substr(0, newline);
+    if (part.size() > room) {
+      out.append(part.substr(0, room));
+      GetArea::consume(buf, room);
+      return LineRead::kTooLong;
+    }
+    out.append(part);
+    room -= part.size();
+    if (newline != std::string_view::npos) {
+      GetArea::consume(buf, part.size() + 1);
+      return LineRead::kLine;
+    }
+    GetArea::consume(buf, part.size());
+  }
 }
 
-/// First non-blank line, or nullopt at EOF.
-std::optional<std::string> next_content_line(std::istream& in) {
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!trim(line).empty()) return line;
-  }
-  return std::nullopt;
+void expect_end_line(std::istream& in, std::string_view frame) {
+  const std::optional<std::string> line = next_content_line(in);
+  SP_CHECK_INPUT(line.has_value(), "protocol: stream ended before END of " +
+                                       std::string(frame));
+  SP_CHECK_INPUT(trim(*line) == "END", "protocol: expected END after " +
+                                           std::string(frame) + ", got " +
+                                           quote_prefix(*line));
 }
 
 }  // namespace
+
+std::optional<std::string> next_content_line(std::istream& in,
+                                             std::size_t max_bytes) {
+  std::string line;
+  for (;;) {
+    line.clear();
+    switch (append_line(in, line, max_bytes)) {
+      case LineRead::kEof:
+        return std::nullopt;
+      case LineRead::kTooLong:
+        throw Error(strprintf("protocol: line exceeds the %zu-byte limit: ",
+                              max_bytes) +
+                    quote_prefix(line));
+      case LineRead::kLine:
+        if (!trim(line).empty()) return line;
+    }
+  }
+}
 
 std::string_view status_token(StatusCode code) {
   switch (code) {
@@ -176,7 +247,7 @@ PartitionRequest parse_request(const std::string& header_line,
       // lazy=1 asks for the removed path.
       if (value != "0")
         throw Error("bad_request: field lazy: lazy ranking was removed, "
-                    "only 0 is accepted, got '" + value + "'");
+                    "only 0 is accepted, got " + quote_prefix(value));
     } else if (key == "lazy_window" || key == "lazy_rerank") {
       parse_size(value, key);
     } else if (key == "net_model") {
@@ -200,7 +271,7 @@ PartitionRequest parse_request(const std::string& header_line,
       graph_lines = parse_size(value, "graph_lines");
       have_graph_lines = true;
     } else {
-      throw Error("protocol: unknown REQUEST field '" + key + "'");
+      throw Error("protocol: unknown REQUEST field " + quote_prefix(key));
     }
   }
   SP_CHECK_INPUT(have_graph_lines,
@@ -214,15 +285,18 @@ PartitionRequest parse_request(const std::string& header_line,
         graph_lines, limits.max_graph_lines));
 
   std::string payload;
-  std::string line;
   for (std::size_t i = 0; i < graph_lines; ++i) {
-    SP_CHECK_INPUT(static_cast<bool>(std::getline(in, line)),
+    // A line may take what is left of the byte budget, so an oversized
+    // line fails before it is buffered.
+    const LineRead read =
+        append_line(in, payload, limits.max_payload_bytes - payload.size());
+    SP_CHECK_INPUT(read != LineRead::kEof,
                    "protocol: stream ended inside the graph payload "
                    "(expected " +
                        std::to_string(graph_lines) + " lines)");
-    payload += line;
     payload += '\n';
-    if (payload.size() > limits.max_payload_bytes)
+    if (read == LineRead::kTooLong ||
+        payload.size() > limits.max_payload_bytes)
       throw Error(strprintf(
           "bad_request: request payload exceeds the %zu-byte limit",
           limits.max_payload_bytes));
@@ -306,7 +380,7 @@ PartitionResponse parse_response(const std::string& header_line,
       n = parse_size(value, "n");
       have_n = true;
     } else {
-      throw Error("protocol: unknown RESPONSE field '" + key + "'");
+      throw Error("protocol: unknown RESPONSE field " + quote_prefix(key));
     }
   }
   if (resp.status == "error") {
@@ -314,12 +388,18 @@ PartitionResponse parse_response(const std::string& header_line,
     return resp;
   }
   SP_CHECK_INPUT(have_n, "protocol: RESPONSE is missing the n field");
-  const std::optional<std::string> assign_line = next_content_line(in);
+  // write_response spends at most 11 bytes per id.
+  const std::size_t assign_cap = n < (SIZE_MAX - kMaxLineBytes) / 11
+                                     ? kMaxLineBytes + 11 * n
+                                     : SIZE_MAX;
+  const std::optional<std::string> assign_line =
+      next_content_line(in, assign_cap);
   SP_CHECK_INPUT(assign_line.has_value(),
                  "protocol: stream ended before the ASSIGN line");
   const std::vector<std::string> tokens = split_ws(*assign_line);
   SP_CHECK_INPUT(!tokens.empty() && tokens[0] == "ASSIGN",
-                 "protocol: expected ASSIGN line, got '" + *assign_line + "'");
+                 "protocol: expected ASSIGN line, got " +
+                     quote_prefix(*assign_line));
   SP_CHECK_INPUT(tokens.size() == n + 1,
                  strprintf("protocol: ASSIGN holds %zu ids, header says n=%zu",
                            tokens.size() - 1, n));

@@ -48,12 +48,18 @@
 
 namespace specpart::service {
 
+/// Longest line the readers buffer, newline excluded, for every line
+/// outside a REQUEST payload (which ProtocolLimits bounds) and an ASSIGN
+/// line (bounded by its header's n): headers, END and control lines. A
+/// REQUEST header is about 250 bytes plus its id.
+inline constexpr std::size_t kMaxLineBytes = 64 << 10;
+
 /// Parse-side resource limits: a REQUEST frame announcing (or streaming)
 /// more than this is rejected with a structured `bad_request:` Error
 /// *before* the parser commits to reading unbounded bytes — an
-/// announced-but-absurd graph_lines fails immediately, and an oversized
-/// payload fails as soon as the running byte count crosses the budget
-/// (bounded by one line of overshoot, since frames are line-delimited).
+/// announced-but-absurd graph_lines fails immediately, and a payload line
+/// longer than what is left of the byte budget fails before it is
+/// buffered.
 struct ProtocolLimits {
   /// Max lines a REQUEST's .hgr payload may announce.
   std::size_t max_graph_lines = 4'000'000;
@@ -106,6 +112,12 @@ void write_request(const PartitionRequest& req, std::ostream& out);
 PartitionRequest parse_request(const std::string& header_line,
                                std::istream& in,
                                const ProtocolLimits& limits = {});
+
+/// The next non-blank line of `in` (newline consumed, not stored), or
+/// nullopt at EOF. Reads at most `max_bytes` of a line: a longer one
+/// throws specpart::Error quoting its first bytes, with the rest unread.
+std::optional<std::string> next_content_line(
+    std::istream& in, std::size_t max_bytes = kMaxLineBytes);
 
 /// Reads the next request frame, skipping blank lines. Returns nullopt at
 /// EOF. Throws specpart::Error when the stream holds a non-REQUEST frame

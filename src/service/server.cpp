@@ -16,10 +16,6 @@
 
 namespace specpart::service {
 
-std::future<PartitionResponse> ServiceBackend::submit(PartitionRequest req) {
-  return svc_.submit(std::move(req));
-}
-
 bool ServiceBackend::try_submit(PartitionRequest req,
                                 std::future<PartitionResponse>& out) {
   return svc_.try_submit(std::move(req), out);
@@ -27,17 +23,13 @@ bool ServiceBackend::try_submit(PartitionRequest req,
 
 MetricsSnapshot ServiceBackend::metrics() { return svc_.snapshot(); }
 
-std::future<PartitionResponse> RouterBackend::submit(PartitionRequest req) {
+bool RouterBackend::try_submit(PartitionRequest req,
+                               std::future<PartitionResponse>& out) {
   // Deferred: route() runs when the writer thread calls future.get(), so
   // the reader keeps parsing while earlier requests are in flight and
   // responses still leave in FIFO order.
-  return std::async(std::launch::deferred,
-                    [this, r = std::move(req)] { return router_.route(r); });
-}
-
-bool RouterBackend::try_submit(PartitionRequest req,
-                               std::future<PartitionResponse>& out) {
-  out = submit(std::move(req));
+  out = std::async(std::launch::deferred,
+                   [this, r = std::move(req)] { return router_.route(r); });
   return true;
 }
 
@@ -51,7 +43,7 @@ void write_metrics_frame(const MetricsSnapshot& snap, std::ostream& out) {
 }
 
 void serve_stream(StreamBackend& backend, std::istream& in, std::ostream& out,
-                  const ServeOptions& opts) {
+                  const ProtocolLimits& limits) {
   struct Item {
     enum Kind { kResponse, kReady, kPong, kMetrics, kBye } kind;
     std::future<PartitionResponse> future;  // kResponse
@@ -117,30 +109,23 @@ void serve_stream(StreamBackend& backend, std::istream& in, std::ostream& out,
   // A malformed frame poisons the rest of the stream (framing is lost), so
   // every failure below reports and stops this connection.
   try {
-    std::string line;
-    while (std::getline(in, line)) {
-      const std::string_view stripped = trim(line);
-      if (stripped.empty()) continue;
+    while (const std::optional<std::string> line = next_content_line(in)) {
+      const std::string_view stripped = trim(*line);
       if (starts_with(stripped, "REQUEST")) {
-        PartitionRequest req = parse_request(line, in, opts.limits);
+        PartitionRequest req = parse_request(*line, in, limits);
         Item item;
-        if (opts.reject_when_full) {
-          // Saved before the move: try_submit consumes the request even
-          // when it rejects.
-          std::string req_id = req.id;
-          if (backend.try_submit(std::move(req), item.future)) {
-            item.kind = Item::kResponse;
-          } else {
-            // Admission control: the rejection is itself an error
-            // response, so clients see *why* instead of a stall.
-            item.kind = Item::kReady;
-            item.response.id = std::move(req_id);
-            item.response.status = "error";
-            item.response.error = "rejected: queue full";
-          }
-        } else {
+        // Saved before the move: try_submit consumes the request even
+        // when it rejects.
+        std::string req_id = req.id;
+        if (backend.try_submit(std::move(req), item.future)) {
           item.kind = Item::kResponse;
-          item.future = backend.submit(std::move(req));  // backpressure
+        } else {
+          // Admission control: the rejection is itself an error
+          // response, so clients see *why* instead of a stall.
+          item.kind = Item::kReady;
+          item.response.id = std::move(req_id);
+          item.response.status = "error";
+          item.response.error = "rejected: queue full";
         }
         push(std::move(item));
       } else if (stripped == "PING") {
@@ -150,13 +135,13 @@ void serve_stream(StreamBackend& backend, std::istream& in, std::ostream& out,
       } else if (stripped == "QUIT") {
         break;
       } else {
-        throw Error("unknown frame '" + std::string(stripped) + "'");
+        throw Error("unknown frame " + quote_prefix(stripped));
       }
     }
   } catch (const Error& e) {
-    // Every parse-level failure (truncated payload, oversized payload,
-    // garbage frame) is surfaced under the one structured bad_request
-    // token.
+    // Every parse-level failure (truncated payload, oversized payload or
+    // line, garbage frame) is surfaced under the one structured
+    // bad_request token.
     push_error(starts_with(e.what(), "bad_request")
                    ? e.what()
                    : std::string("bad_request: ") + e.what());
@@ -170,9 +155,9 @@ void serve_stream(StreamBackend& backend, std::istream& in, std::ostream& out,
 }
 
 TcpServer::TcpServer(StreamBackend& backend, std::uint16_t port,
-                     ServeOptions serve, double idle_timeout_seconds)
+                     ProtocolLimits limits, double idle_timeout_seconds)
     : backend_(backend),
-      serve_(std::move(serve)),
+      limits_(limits),
       idle_timeout_seconds_(idle_timeout_seconds) {
   listen_fd_ = tcp_listen(port, &port_);
   accept_thread_ = std::thread([this] { accept_loop(); });
@@ -236,7 +221,7 @@ void TcpServer::serve_connection(std::size_t slot, int fd) {
     std::istream in(&in_buf);
     std::ostream out(&out_buf);
     try {
-      serve_stream(backend_, in, out, serve_);
+      serve_stream(backend_, in, out, limits_);
     } catch (const std::exception&) {
       // Connection-level failure (its writer thread could not start, an
       // allocation failed); drop the connection, keep the server.

@@ -5,9 +5,11 @@
 // pair: REQUEST frames are admitted through a StreamBackend, control lines
 // (PING / METRICS / QUIT) are answered in order, and a dedicated writer
 // thread emits each response as soon as it is ready so pipelining clients
-// cannot deadlock the reader. Malformed or over-limit frames get a
-// structured `bad_request:` error response before the connection closes
-// (framing is lost after garbage, so closing is the only safe move).
+// cannot deadlock the reader. No line is buffered past its cap
+// (kMaxLineBytes, or what is left of a REQUEST's payload budget).
+// Malformed or over-limit frames get a structured `bad_request:` error
+// response before the connection closes (framing is lost after garbage,
+// so closing is the only safe move).
 //
 // TcpServer runs the accept loop: it serves one StreamBackend on a port,
 // one serve_stream per connection on its own thread, up to
@@ -41,11 +43,9 @@ class StreamBackend {
  public:
   virtual ~StreamBackend() = default;
 
-  /// Accepts one request; may exert backpressure by blocking. The future
-  /// resolves to the response (responses are written in submission order).
-  virtual std::future<PartitionResponse> submit(PartitionRequest req) = 0;
-
-  /// Non-blocking admission; false on rejection (queue full).
+  /// Non-blocking admission; false on rejection (queue full). On success
+  /// `out` resolves to the response (responses are written in submission
+  /// order).
   virtual bool try_submit(PartitionRequest req,
                           std::future<PartitionResponse>& out) = 0;
 
@@ -57,7 +57,6 @@ class StreamBackend {
 class ServiceBackend : public StreamBackend {
  public:
   explicit ServiceBackend(PartitionService& svc) : svc_(svc) {}
-  std::future<PartitionResponse> submit(PartitionRequest req) override;
   bool try_submit(PartitionRequest req,
                   std::future<PartitionResponse>& out) override;
   MetricsSnapshot metrics() override;
@@ -72,7 +71,6 @@ class ServiceBackend : public StreamBackend {
 class RouterBackend : public StreamBackend {
  public:
   explicit RouterBackend(ShardRouter& router) : router_(router) {}
-  std::future<PartitionResponse> submit(PartitionRequest req) override;
   bool try_submit(PartitionRequest req,
                   std::future<PartitionResponse>& out) override;
   MetricsSnapshot metrics() override;
@@ -81,18 +79,11 @@ class RouterBackend : public StreamBackend {
   ShardRouter& router_;
 };
 
-struct ServeOptions {
-  /// true: a full queue yields an immediate `rejected: queue full` error
-  /// response; false: the reader blocks (backpressure).
-  bool reject_when_full = true;
-  /// Parse-side payload limits (see protocol.h).
-  ProtocolLimits limits;
-};
-
 /// Serves one connection's byte streams until EOF, QUIT, or a poisoned
-/// frame. See file comment for the reader/writer split.
+/// frame, parsing REQUEST payloads under `limits` (protocol.h). See file
+/// comment for the reader/writer split.
 void serve_stream(StreamBackend& backend, std::istream& in, std::ostream& out,
-                  const ServeOptions& opts = {});
+                  const ProtocolLimits& limits = {});
 
 /// Renders a METRICS control frame (METRIC key value lines + END).
 void write_metrics_frame(const MetricsSnapshot& snap, std::ostream& out);
@@ -112,7 +103,7 @@ class TcpServer {
   /// sends no byte for that long, releasing its threads. Throws
   /// specpart::Error when the port cannot be bound.
   TcpServer(StreamBackend& backend, std::uint16_t port,
-            ServeOptions serve = {}, double idle_timeout_seconds = 0.0);
+            ProtocolLimits limits = {}, double idle_timeout_seconds = 0.0);
   ~TcpServer();
 
   TcpServer(const TcpServer&) = delete;
@@ -148,7 +139,7 @@ class TcpServer {
   void serve_connection(std::size_t slot, int fd);
 
   StreamBackend& backend_;
-  const ServeOptions serve_;
+  const ProtocolLimits limits_;
   const double idle_timeout_seconds_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;

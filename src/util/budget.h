@@ -47,12 +47,6 @@ class ComputeBudget {
     iterations_used_ = 0;
   }
 
-  void set_deadline_seconds(double seconds) { deadline_seconds_ = seconds; }
-  void set_max_iterations(std::size_t iterations) {
-    max_iterations_ = iterations;
-    limited_iterations_ = true;
-  }
-
   bool unlimited() const {
     return deadline_seconds_ < 0.0 && !limited_iterations_;
   }
@@ -75,8 +69,6 @@ class ComputeBudget {
   double elapsed_seconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
-
-  std::size_t iterations_used() const { return iterations_used_; }
 
  private:
   using Clock = std::chrono::steady_clock;

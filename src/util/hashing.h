@@ -55,7 +55,6 @@ class Hasher {
   Hasher();
 
   void mix_u64(std::uint64_t v);
-  void mix_i64(std::int64_t v) { mix_u64(static_cast<std::uint64_t>(v)); }
   void mix_size(std::size_t v) { mix_u64(static_cast<std::uint64_t>(v)); }
   void mix_bool(bool v) { mix_u64(v ? 1 : 0); }
 

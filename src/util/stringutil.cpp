@@ -46,17 +46,26 @@ bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
+std::string quote_prefix(std::string_view s) {
+  constexpr std::size_t kMaxQuoted = 64;
+  std::string quoted = "'";
+  quoted += s.substr(0, kMaxQuoted);
+  if (s.size() > kMaxQuoted) quoted += "...";
+  quoted += '\'';
+  return quoted;
+}
+
 std::size_t parse_size(std::string_view s, std::string_view what) {
   s = trim(s);
   SP_CHECK_INPUT(!s.empty(), std::string(what) + ": empty integer field");
   std::size_t value = 0;
   for (char c : s) {
     SP_CHECK_INPUT(std::isdigit(static_cast<unsigned char>(c)),
-                   std::string(what) + ": bad integer '" + std::string(s) + "'");
+                   std::string(what) + ": bad integer " + quote_prefix(s));
     const auto digit = static_cast<std::size_t>(c - '0');
     SP_CHECK_INPUT(value <= (SIZE_MAX - digit) / 10,
-                   std::string(what) + ": integer overflow in '" +
-                       std::string(s) + "'");
+                   std::string(what) + ": integer overflow in " +
+                       quote_prefix(s));
     value = value * 10 + digit;
   }
   return value;
@@ -68,7 +77,7 @@ double parse_double(std::string_view s, std::string_view what) {
   char* end = nullptr;
   const double v = std::strtod(buf.c_str(), &end);
   SP_CHECK_INPUT(end == buf.c_str() + buf.size(),
-                 std::string(what) + ": bad number '" + buf + "'");
+                 std::string(what) + ": bad number " + quote_prefix(buf));
   return v;
 }
 

@@ -19,6 +19,10 @@ std::string_view trim(std::string_view s);
 /// True if `s` begins with `prefix`.
 bool starts_with(std::string_view s, std::string_view prefix);
 
+/// `s` in single quotes for an error message, cut to its first 64 bytes
+/// plus "..." when longer, so no message echoes an unbounded input.
+std::string quote_prefix(std::string_view s);
+
 /// Parses a non-negative integer; throws specpart::Error on junk.
 std::size_t parse_size(std::string_view s, std::string_view what);
 

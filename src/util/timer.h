@@ -11,16 +11,10 @@ class Timer {
  public:
   Timer() : start_(Clock::now()) {}
 
-  /// Restarts the stopwatch.
-  void reset() { start_ = Clock::now(); }
-
-  /// Elapsed seconds since construction or the last reset().
+  /// Elapsed seconds since construction.
   double seconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
-
-  /// Elapsed milliseconds.
-  double millis() const { return seconds() * 1e3; }
 
  private:
   using Clock = std::chrono::steady_clock;

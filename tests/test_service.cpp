@@ -866,6 +866,79 @@ TEST(Protocol, AssignIdAboveUint32IsRejectedNotTruncated) {
   EXPECT_EQ(read_response(at_limit)->assignment.back(), 4294967295u);
 }
 
+TEST(Protocol, AssignLineIsBoundedByItsCountNotTheLineCap) {
+  // 20000 ten-digit ids make a 220 KB ASSIGN line, past kMaxLineBytes: the
+  // header's n sets its cap, so large responses still parse.
+  PartitionResponse resp;
+  resp.id = "r";
+  resp.k = 2;
+  resp.assignment.assign(20000, 4000000000u);
+  std::ostringstream frame;
+  write_response(resp, frame);
+  ASSERT_GT(frame.str().size(), kMaxLineBytes);
+  std::istringstream in(frame.str());
+  const std::optional<PartitionResponse> parsed = read_response(in);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->assignment, resp.assignment);
+  // An ASSIGN line longer than any writer makes for its n is refused.
+  const auto read = [](std::istream& s) { return read_response(s); };
+  EXPECT_NE(error_of(read, "RESPONSE id=r status=ok k=2 n=1\nASSIGN" +
+                               std::string(kMaxLineBytes + 12, ' ') +
+                               "0\nEND\n")
+                .find("line exceeds the 65547-byte limit"),
+            std::string::npos);
+}
+
+/// A streambuf with no get area, like std::cin synced with stdio: every
+/// byte comes through underflow and uflow.
+class UnbufferedSource : public std::streambuf {
+ public:
+  explicit UnbufferedSource(std::string text) : text_(std::move(text)) {}
+  std::size_t consumed() const { return pos_; }
+
+ protected:
+  int_type underflow() override {
+    return pos_ < text_.size() ? traits_type::to_int_type(text_[pos_])
+                               : traits_type::eof();
+  }
+  int_type uflow() override {
+    const int_type c = underflow();
+    if (c != traits_type::eof()) ++pos_;
+    return c;
+  }
+
+ private:
+  std::string text_;
+  std::size_t pos_ = 0;
+};
+
+TEST(Protocol, UnbufferedStreamReadsTheSameFramesUnderTheSameCaps) {
+  std::ostringstream frame;
+  write_request(make_request(), frame);
+  UnbufferedSource source(frame.str() + "\n" + frame.str());
+  std::istream in(&source);
+  for (int i = 0; i < 2; ++i) {
+    const std::optional<PartitionRequest> parsed = read_request(in);
+    ASSERT_TRUE(parsed.has_value());
+    std::ostringstream again;
+    write_request(*parsed, again);
+    EXPECT_EQ(again.str(), frame.str());
+  }
+  EXPECT_FALSE(read_request(in).has_value());
+
+  UnbufferedSource overlong(std::string(8 << 20, 'A'));
+  std::istream long_in(&overlong);
+  try {
+    read_request(long_in);
+    FAIL() << "an overlong line must be refused";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("line exceeds the 65536-byte limit"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(overlong.consumed(), kMaxLineBytes);
+}
+
 TEST(Protocol, DefaultLimitsAdmitNormalRequests) {
   const PartitionRequest req = make_request();
   std::ostringstream frame;
@@ -879,19 +952,19 @@ TEST(Protocol, DefaultLimitsAdmitNormalRequests) {
 /// Runs one client script through the shared serving loop over `backend`
 /// and returns the server's byte output.
 std::string serve_on(StreamBackend& backend, const std::string& script,
-                     const ServeOptions& opts = {}) {
+                     const ProtocolLimits& limits = {}) {
   std::istringstream in(script);
   std::ostringstream out;
-  serve_stream(backend, in, out, opts);
+  serve_stream(backend, in, out, limits);
   return out.str();
 }
 
 /// serve_on over a fresh service.
 std::string serve_script(const std::string& script,
-                         const ServeOptions& opts = {}) {
+                         const ProtocolLimits& limits = {}) {
   PartitionService svc;
   ServiceBackend backend(svc);
-  return serve_on(backend, script, opts);
+  return serve_on(backend, script, limits);
 }
 
 TEST(ServeStream, GarbageFrameGetsStructuredBadRequestThenCloses) {
@@ -910,13 +983,94 @@ TEST(ServeStream, TruncatedRequestGetsStructuredBadRequest) {
 }
 
 TEST(ServeStream, OversizedRequestGetsStructuredBadRequest) {
-  ServeOptions opts;
-  opts.limits.max_graph_lines = 3;
+  ProtocolLimits limits;
+  limits.max_graph_lines = 3;
   const std::string out =
       serve_script("REQUEST id=x graph_lines=4\n1 1\n1 2\n2 1\n1 2\nEND\n",
-                   opts);
+                   limits);
   EXPECT_NE(out.find("error=bad_request: "), std::string::npos) << out;
   EXPECT_NE(out.find("payload limit"), std::string::npos) << out;
+}
+
+/// serve_stream over `in` and a fresh service; returns the reply bytes and
+/// leaves `in` where the loop stopped reading.
+std::string serve_istream(std::istringstream& in,
+                          const ProtocolLimits& limits = {}) {
+  PartitionService svc;
+  ServiceBackend backend(svc);
+  std::ostringstream out;
+  serve_stream(backend, in, out, limits);
+  in.clear();
+  return out.str();
+}
+
+TEST(ServeStream, OverlongLineIsRefusedBeforeItIsBuffered) {
+  // 8 MiB with no newline: the reader stops at the line cap and answers
+  // with a short error, instead of buffering (and echoing) the whole line.
+  std::istringstream in(std::string(8 << 20, 'A'));
+  const std::string reply = serve_istream(in);
+  EXPECT_LT(reply.size(), 1024u) << reply.substr(0, 256);
+  EXPECT_NE(reply.find("error=bad_request: "), std::string::npos) << reply;
+  EXPECT_NE(reply.find("BYE\n"), std::string::npos) << reply;
+  EXPECT_EQ(static_cast<std::size_t>(in.tellg()), kMaxLineBytes);
+
+  // The same cap holds for the END line after a payload.
+  std::istringstream no_end("REQUEST id=x graph_lines=3\n2 4\n1 2\n3 4\n" +
+                            std::string(8 << 20, 'E'));
+  const std::string end_reply = serve_istream(no_end);
+  EXPECT_LT(end_reply.size(), 1024u) << end_reply.substr(0, 256);
+  EXPECT_NE(end_reply.find("error=bad_request: "), std::string::npos);
+  EXPECT_LE(static_cast<std::size_t>(no_end.tellg()), 64 + kMaxLineBytes);
+
+  // A line under the cap is read, but its error quotes only its start.
+  std::istringstream garbage(std::string(60 << 10, 'G') + "\n");
+  const std::string garbage_reply = serve_istream(garbage);
+  EXPECT_LT(garbage_reply.size(), 1024u) << garbage_reply.substr(0, 256);
+  EXPECT_NE(garbage_reply.find("unknown frame 'GGGG"), std::string::npos);
+}
+
+TEST(ServeStream, OverlongPayloadLineIsRefusedBeforeItIsBuffered) {
+  // A 1 MiB payload line under a 64-byte payload limit fails on the
+  // limit's own error, having read no more than the budget of it.
+  ProtocolLimits limits;
+  limits.max_payload_bytes = 64;
+  const std::string header = "REQUEST id=x graph_lines=2\n";
+  std::istringstream in(header + std::string(1 << 20, '1') + "\n1 2\nEND\n");
+  const std::string reply = serve_istream(in, limits);
+  EXPECT_NE(reply.find("error=bad_request: request payload exceeds the "
+                       "64-byte limit"),
+            std::string::npos)
+      << reply.substr(0, 256);
+  EXPECT_LT(reply.size(), 1024u);
+  EXPECT_LE(static_cast<std::size_t>(in.tellg()),
+            header.size() + limits.max_payload_bytes);
+}
+
+TEST(ServeStream, PayloadOfExactlyTheLimitIsServedOneByteMoreIsNot) {
+  const PartitionRequest req = make_request();
+  std::ostringstream frame;
+  write_request(req, frame);
+  const std::string text = frame.str();
+  // The payload is everything between the header line and END.
+  const std::size_t payload_bytes =
+      text.size() - (text.find('\n') + 1) - std::string("END\n").size();
+  PartitionService reference;
+  const std::string served = wire(reference.execute(req));
+
+  ProtocolLimits limits;
+  limits.max_payload_bytes = payload_bytes;
+  EXPECT_EQ(serve_script(text, limits), served + "BYE\n");
+  // One byte short fails after the last line is read; two bytes short
+  // fails inside it. Both are the limit's error.
+  for (const std::size_t shortfall : {1, 2}) {
+    limits.max_payload_bytes = payload_bytes - shortfall;
+    const std::string reply = serve_script(text, limits);
+    EXPECT_NE(reply.find(strprintf("error=bad_request: request payload "
+                                   "exceeds the %zu-byte limit",
+                                   limits.max_payload_bytes)),
+              std::string::npos)
+        << shortfall << ": " << reply;
+  }
 }
 
 TEST(ServeStream, ValidFramesStillFlowAfterHardening) {
